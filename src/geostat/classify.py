@@ -49,6 +49,11 @@ KNN_P_CHOICES = (1, 2)
 SVM_C_CHOICES = (0.1, 1.0, 10.0)
 SVM_KERNEL_CHOICES = ("linear", "rbf", "poly")
 
+# Distances are computed for as many queries at a time as keep the
+# (queries x training rows x features) temporary under this many entries,
+# 8 MB of float64.
+KNN_BLOCK_ENTRIES = 1 << 20
+
 
 def _class_sort_key(label: str):
     try:
@@ -148,10 +153,13 @@ def knn_fit(points, labels, params: KNNParams) -> KNNModel:
 
 
 def _minkowski(queries: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
-    diff = np.abs(queries[:, None, :] - points[None, :, :])
-    if p == 1:
-        return diff.sum(axis=2)
-    return np.sqrt((diff**2).sum(axis=2))
+    per_block = max(1, KNN_BLOCK_ENTRIES // max(1, points.size))
+    out = np.empty((queries.shape[0], points.shape[0]))
+    for start in range(0, queries.shape[0], per_block):
+        rows = slice(start, start + per_block)
+        diff = np.abs(queries[rows, None, :] - points[None, :, :])
+        out[rows] = diff.sum(axis=2) if p == 1 else np.sqrt((diff**2).sum(axis=2))
+    return out
 
 
 def knn_predict(model: KNNModel, queries) -> np.ndarray:

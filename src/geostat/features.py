@@ -10,13 +10,15 @@ ablation masks and single-window slices are plain index computations.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import build_stack
+from .geometry import build_stack, univariate_signals
 from .series import UniformSeries
 from .stats import (
     MULTIVARIATE_QUANTILES,
@@ -52,6 +54,12 @@ UNIVARIATE_DISTRIBUTIONS = (
 FRECHET_STATISTICS = ("frechet_lat", "frechet_lon", "frechet_var")
 
 STATISTIC_GROUPS = ("low_quantiles", "mid_quantiles", "high_quantiles")
+
+# Samples featurized together: a block holds this many samples' worth of
+# series (16 series of 500 samples), which bounds the transient arrays of
+# the batched path whatever the number of series. Blocks of 4,000 to
+# 16,000 samples were equally fast; larger ones only cost memory.
+BLOCK_SAMPLES = 8_000
 
 
 @dataclass(frozen=True)
@@ -183,29 +191,11 @@ def extract_univariate(us: UniformSeries, cfg: GeoStatConfig):
 
     Derives the signal stack globally, then summarizes the five distributions
     (position, velocity, acceleration, curvature, signed curvature) inside
-    each window. Returns ``(values, column_labels)``.
+    each window. Returns ``(values, column_labels)``; this is the one-row
+    case of :func:`univariate_matrix`.
     """
-    if us.dim != 1:
-        raise ValueError("extract_univariate requires a 1-dimensional series")
-    bounds = _check_window_sizes(us.n_samples, cfg.num_windows)
-    stack = build_stack(us, cfg.smoothing_iterations)
-    dists = {
-        "position": stack.base.values[:, 0],
-        "velocity": stack.first_deriv.values[:, 0],
-        "acceleration": stack.second_deriv.values[:, 0],
-        "curvature": stack.curvature,
-        "signed_curvature": stack.signed_curvature,
-    }
-    values = []
-    labels = []
-    stat_names = cfg.summary.statistic_names
-    for name in UNIVARIATE_DISTRIBUTIONS:
-        samples = dists[name]
-        for w, (a, b) in enumerate(bounds):
-            vec = summarize(samples[a:b], cfg.summary)
-            values.extend(vec.tolist())
-            labels.extend((name, w, s) for s in stat_names)
-    return np.array(values), labels
+    rows, labels = _univariate_rows([us], cfg)
+    return rows[0], list(labels)
 
 
 def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
@@ -260,22 +250,70 @@ def multivariate_summary_config() -> SummaryConfig:
     return SummaryConfig(quantiles=MULTIVARIATE_QUANTILES)
 
 
+def _univariate_block(values: np.ndarray, step: float, bounds: list,
+                      cfg: GeoStatConfig) -> np.ndarray:
+    """Feature rows of the univariate series in the columns of ``values``."""
+    n_samples, n_series = values.shape
+    signals = np.empty((len(UNIVARIATE_DISTRIBUTIONS), n_series, n_samples))
+    for out, signal in zip(signals, univariate_signals(
+            values, step, cfg.smoothing_iterations)):
+        out[...] = signal.T
+    rows = np.empty((n_series, len(UNIVARIATE_DISTRIBUTIONS), len(bounds),
+                     cfg.summary.size))
+    # Windows of one size are adjacent, so each size is one reshape and one
+    # summarize call.
+    w = 0
+    for size, same in itertools.groupby(b - a for a, b in bounds):
+        count = len(list(same))
+        a = bounds[w][0]
+        part = signals[:, :, a:a + count * size].reshape(
+            signals.shape[:2] + (count, size))
+        rows[:, :, w:w + count] = summarize(part, cfg.summary).transpose(1, 0, 2, 3)
+        w += count
+    return rows.reshape(n_series, -1)
+
+
+def _univariate_rows(series: list, cfg: GeoStatConfig):
+    """Feature rows of univariate series, in input order, and their labels.
+
+    Series sharing a sample count and step are featurized together, at most
+    ``BLOCK_SAMPLES`` samples' worth of series at a time, so transient
+    memory does not grow with the number of series.
+    """
+    groups = {}
+    for i, us in enumerate(series):
+        if us.dim != 1:
+            raise ValueError("univariate features require 1-dimensional series")
+        groups.setdefault((us.n_samples, us.step), []).append(i)
+    stat_names = cfg.summary.statistic_names
+    labels = tuple((name, w, s) for name in UNIVARIATE_DISTRIBUTIONS
+                   for w in range(cfg.num_windows) for s in stat_names)
+    rows = np.empty((len(series), len(labels)))
+    for (n_samples, step), members in groups.items():
+        bounds = _check_window_sizes(n_samples, cfg.num_windows)
+        per_block = max(1, BLOCK_SAMPLES // n_samples)
+        for start in range(0, len(members), per_block):
+            block = members[start:start + per_block]
+            values = np.column_stack([series[i].values[:, 0] for i in block])
+            rows[block] = _univariate_block(values, step, bounds, cfg)
+    return rows, labels
+
+
 def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix:
-    """Stack univariate feature rows for a collection of uniform series."""
+    """Feature matrix of a collection of univariate uniform series.
+
+    Row ``i`` is the feature row of ``series[i]``, as
+    :func:`extract_univariate` would give it. Series may differ in length
+    and step.
+    """
     series = list(series)
     class_labels = list(class_labels)
     if len(series) != len(class_labels):
         raise ValueError("series and labels counts differ")
     if not series:
         raise ValueError("empty collection")
-    rows = []
-    labels = None
-    for us in series:
-        vec, row_labels = extract_univariate(us, cfg)
-        if labels is None:
-            labels = row_labels
-        rows.append(vec)
-    return FeatureMatrix(np.vstack(rows), tuple(labels), tuple(class_labels))
+    rows, labels = _univariate_rows(series, cfg)
+    return FeatureMatrix(rows, labels, tuple(class_labels))
 
 
 def z_normalize(train: FeatureMatrix, others=()):
@@ -355,22 +393,37 @@ def single_window(fm: FeatureMatrix, window: int) -> FeatureMatrix:
     return FeatureMatrix(fm.rows[:, keep], cols, fm.labels)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _row_ends(labels, n_columns: int) -> dict:
+    """How ``csv.writer`` ends a row whose last field is each label.
+
+    Quoting is left to the csv module; a row with no feature columns is a
+    lone field, which the csv module writes differently.
+    """
+    ends = {}
+    for label in set(labels):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(
+            ["", label] if n_columns else [label])
+        ends[label] = buf.getvalue()
+    return ends
 
 
 def write_feature_csv(fm: FeatureMatrix, path) -> None:
     """Serialize to CSV: one ``distribution.window.statistic`` header per
-    column plus a trailing ``label`` column. Written atomically."""
+    column plus a trailing ``label`` column. Written atomically.
+
+    Values are written as ``repr`` of the float, which round-trips exactly.
+    """
     path = os.fspath(path)
     header = [f"{d}.{w}.{s}" for d, w, s in fm.column_labels] + ["label"]
+    ends = _row_ends(fm.labels, fm.n_columns)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row, label in zip(fm.rows, fm.labels):
-                writer.writerow([_format_float(v) for v in row] + [label])
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            # Row by row, so only one row is held as Python floats.
+            fh.writelines(",".join(map(repr, row.tolist())) + ends[label]
+                          for row, label in zip(fm.rows, fm.labels))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

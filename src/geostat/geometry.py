@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import UniformSeries, laplacian_smooth, smooth_values
+from .series import UniformSeries, smooth_values
 
 __all__ = [
     "GeometricStack",
@@ -24,6 +24,7 @@ __all__ = [
     "curvature_magnitude",
     "signed_curvature",
     "build_stack",
+    "univariate_signals",
 ]
 
 
@@ -64,6 +65,11 @@ def speed(first_deriv) -> np.ndarray:
     return np.sqrt(1.0 + np.sum(arr**2, axis=1))
 
 
+def _planar_curvature(xd: np.ndarray, xdd: np.ndarray) -> np.ndarray:
+    """Signed curvature ``x'' / (1 + x'^2)^(3/2)`` of univariate samples."""
+    return xdd / (1.0 + xd**2) ** 1.5
+
+
 def curvature_magnitude(first_deriv: UniformSeries,
                         second_deriv: UniformSeries) -> np.ndarray:
     """Pointwise curvature magnitude of the time-augmented curve.
@@ -77,9 +83,8 @@ def curvature_magnitude(first_deriv: UniformSeries,
     if first_deriv.values.shape != second_deriv.values.shape:
         raise ValueError("derivative series must be aligned")
     if first_deriv.dim == 1:
-        xd = first_deriv.values[:, 0]
-        xdd = second_deriv.values[:, 0]
-        return np.abs(xdd) / (1.0 + xd**2) ** 1.5
+        return np.abs(_planar_curvature(first_deriv.values[:, 0],
+                                        second_deriv.values[:, 0]))
     v = np.hstack([np.ones((first_deriv.n_samples, 1)), first_deriv.values])
     unit = v / np.linalg.norm(v, axis=1, keepdims=True)
     d_unit = _diff_values(unit, first_deriv.step)
@@ -93,9 +98,7 @@ def signed_curvature(first_deriv: UniformSeries,
         raise ValueError("signed curvature is defined for univariate series only")
     if first_deriv.values.shape != second_deriv.values.shape:
         raise ValueError("derivative series must be aligned")
-    xd = first_deriv.values[:, 0]
-    xdd = second_deriv.values[:, 0]
-    return xdd / (1.0 + xd**2) ** 1.5
+    return _planar_curvature(first_deriv.values[:, 0], second_deriv.values[:, 0])
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,17 @@ class GeometricStack:
         return self.base.n_samples
 
 
+def _derivatives(values: np.ndarray, step: float, k: int):
+    """Smoothed base, smoothed first derivative and raw second derivative.
+
+    Acts along axis 0, so the columns of ``values`` may be the coordinates
+    of one series or many univariate series sharing a grid.
+    """
+    base = smooth_values(values, k)
+    xd = smooth_values(_diff_values(base, step), k)
+    return base, xd, _diff_values(xd, step)
+
+
 def build_stack(us: UniformSeries, smoothing_iterations: int) -> GeometricStack:
     """Derive the full geometric signal stack from a uniform series.
 
@@ -134,27 +148,41 @@ def build_stack(us: UniformSeries, smoothing_iterations: int) -> GeometricStack:
     finite differences of the raw values.
     """
     k = int(smoothing_iterations)
-    base = laplacian_smooth(us, k)
-    xd = laplacian_smooth(finite_difference(base), k)
-    xdd_raw = finite_difference(xd)
-    xdd = laplacian_smooth(xdd_raw, k)
+    base, xd, xdd_raw = _derivatives(us.values, us.step, k)
 
-    spd = speed(xd.values)
+    spd = speed(xd)
     spd_deriv = smooth_values(_diff_values(spd, us.step), k)
 
     if us.dim == 1:
-        kappa_signed = smooth_values(signed_curvature(xd, xdd_raw), k)
+        kappa_signed = smooth_values(_planar_curvature(xd[:, 0], xdd_raw[:, 0]), k)
         kappa = np.abs(kappa_signed)
     else:
         kappa_signed = None
-        kappa = smooth_values(curvature_magnitude(xd, xdd_raw), k)
+        kappa = smooth_values(
+            curvature_magnitude(us.with_values(xd), us.with_values(xdd_raw)), k)
 
     return GeometricStack(
-        base=base,
-        first_deriv=xd,
-        second_deriv=xdd,
+        base=us.with_values(base),
+        first_deriv=us.with_values(xd),
+        second_deriv=us.with_values(smooth_values(xdd_raw, k)),
         speed=np.asarray(spd),
         speed_deriv=spd_deriv,
         curvature=kappa,
         signed_curvature=kappa_signed,
     )
+
+
+def univariate_signals(values: np.ndarray, step: float,
+                       smoothing_iterations: int) -> tuple:
+    """The univariate distributions of many series sharing one grid.
+
+    ``values`` is (samples x series), one univariate series per column.
+    Returns position, velocity, acceleration, curvature and signed curvature
+    in the same layout, each equal column by column to the matching signal
+    of :func:`build_stack`.
+    """
+    k = int(smoothing_iterations)
+    base, xd, xdd_raw = _derivatives(values, step, k)
+    kappa_signed = smooth_values(_planar_curvature(xd, xdd_raw), k)
+    return (base, xd, smooth_values(xdd_raw, k), np.abs(kappa_signed),
+            kappa_signed)

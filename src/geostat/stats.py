@@ -80,6 +80,17 @@ class SummaryConfig:
         return len(self.statistic_names)
 
 
+def _sorted_quantiles(xs: np.ndarray, qs) -> np.ndarray:
+    """Quantiles of samples already sorted along the last axis."""
+    q_arr = np.asarray(qs, dtype=float)
+    n = xs.shape[-1]
+    h = q_arr * (n - 1)
+    lo = np.floor(h).astype(int)
+    hi = np.minimum(lo + 1, n - 1)
+    frac = h - lo
+    return xs[..., lo] + (xs[..., hi] - xs[..., lo]) * frac
+
+
 def quantiles(samples, qs) -> np.ndarray:
     """Order-statistic quantiles with linear interpolation.
 
@@ -90,57 +101,54 @@ def quantiles(samples, qs) -> np.ndarray:
     x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
     if x.size == 0:
         raise ValueError("cannot take quantiles of an empty sample")
-    q_arr = np.asarray(qs, dtype=float)
-    h = q_arr * (x.size - 1)
-    lo = np.floor(h).astype(int)
-    hi = np.minimum(lo + 1, x.size - 1)
-    frac = h - lo
-    return x[lo] + (x[hi] - x[lo]) * frac
+    return _sorted_quantiles(x, qs)
 
 
 def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
-    """Summary vector of one empirical distribution.
+    """Summary vectors of empirical distributions along the last axis.
 
-    Returns the enabled statistics in the order given by
-    ``cfg.statistic_names``. Moments are population moments (no bias
-    correction).
+    ``samples`` of shape ``(..., n)`` holds one distribution of ``n`` values
+    per leading index; the result has shape ``(..., cfg.size)`` with the
+    enabled statistics in the order given by ``cfg.statistic_names``. A 1-d
+    sample gives a single vector. Moments are population moments (no bias
+    correction). Skew and kurtosis are taken from the samples scaled by
+    their standard deviation, so they stay finite when the variance is
+    positive but its powers underflow.
 
     Raises
     ------
     ValueError
-        If ``samples`` is empty or contains non-finite values.
+        If the distributions are empty or contain non-finite values.
     """
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    if x.size == 0:
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 0:
+        x = x.reshape(1)
+    if x.shape[-1] == 0:
         raise ValueError("cannot summarize an empty distribution")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
 
-    mean = float(np.mean(x))
-    centered = x - mean
-    var = float(np.mean(centered**2))
-    std = float(np.sqrt(var))
-    if var > 0.0:
-        skew = float(np.mean(centered**3)) / var**1.5
-        kurt = float(np.mean(centered**4)) / var**2 - 3.0
-    else:
-        skew = 0.0
-        kurt = 0.0
+    mean = x.mean(axis=-1)
+    centered = x - mean[..., None]
+    var = (centered * centered).mean(axis=-1)
+    std = np.sqrt(var)
+    spread = var > 0.0
+    u = centered / np.where(spread, std, 1.0)[..., None]
+    u2 = u * u
+    var_u = np.where(spread, u2.mean(axis=-1), 1.0)
+    skew = np.where(spread, (u2 * u).mean(axis=-1) / (var_u * np.sqrt(var_u)), 0.0)
+    kurt = np.where(spread, (u2 * u2).mean(axis=-1) / (var_u * var_u) - 3.0, 0.0)
 
-    out = []
-    if cfg.include_range:
-        out.append(float(np.max(x) - np.min(x)))
-    if cfg.include_mean:
-        out.append(mean)
-    if cfg.include_std:
-        out.append(std)
-    if cfg.include_skew:
-        out.append(skew)
-    if cfg.include_kurtosis:
-        out.append(kurt)
-    if cfg.quantiles:
-        out.extend(quantiles(x, cfg.quantiles).tolist())
-    return np.array(out, dtype=float)
+    xs = np.sort(x, axis=-1)
+    moments = [value for on, value in (
+        (cfg.include_range, xs[..., -1] - xs[..., 0]), (cfg.include_mean, mean),
+        (cfg.include_std, std), (cfg.include_skew, skew),
+        (cfg.include_kurtosis, kurt)) if on]
+    out = np.empty(x.shape[:-1] + (cfg.size,))
+    for i, value in enumerate(moments):
+        out[..., i] = value
+    out[..., len(moments):] = _sorted_quantiles(xs, cfg.quantiles)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_blobs
+from geostat import classify
 from geostat.classify import (
     CVReport,
     KNNParams,
@@ -206,6 +208,25 @@ class TestKNN:
             for query, g in zip(queries, got):
                 assert g == knn_oracle(x.tolist(), y, query.tolist(),
                                        k, weights, p)
+
+    def test_distance_blocks_are_bit_identical_and_bounded(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(100, 50))
+        queries = rng.normal(size=(203, 50))
+        whole = {p: classify._minkowski(queries, points, p) for p in (1, 2)}
+        # A block of 3 queries: 68 blocks, the last one short.
+        monkeypatch.setattr(classify, "KNN_BLOCK_ENTRIES", 3 * points.size + 7)
+        for p in (1, 2):
+            tracemalloc.start()
+            try:
+                got = classify._minkowski(queries, points, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(got, whole[p])
+            # One (queries x points x features) temporary is 8.1 MB; blocked,
+            # the peak is the output plus a few 120 kB temporaries.
+            assert peak < got.nbytes + 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from geostat import features
 from geostat.features import (
+    UNIVARIATE_DISTRIBUTIONS,
     AblationMask,
     FeatureMatrix,
     GeoStatConfig,
@@ -16,13 +22,68 @@ from geostat.features import (
     z_normalize,
 )
 from geostat.geometry import build_stack
-from geostat.series import TimeSeries, UniformSeries, resample_uniform
+from geostat.series import (TimeSeries, UniformSeries, equalize_lengths,
+                            resample_uniform)
 from geostat.stats import MULTIVARIATE_QUANTILES, SummaryConfig, summarize
 
 
 def sine_series(n=500, cycles=3.0):
     t = np.linspace(0, 1, n)
     return resample_uniform(TimeSeries(t, np.sin(2 * np.pi * cycles * t)), n)
+
+
+def reference_summary(x, cfg):
+    """One distribution at a time, with powers, as the per-window loop did."""
+    mean = float(np.mean(x))
+    centered = x - mean
+    var = float(np.mean(centered**2))
+    if var > 0.0:
+        skew = float(np.mean(centered**3)) / var**1.5
+        kurt = float(np.mean(centered**4)) / var**2 - 3.0
+    else:
+        skew = kurt = 0.0
+    xs = np.sort(x)
+    h = np.asarray(cfg.quantiles) * (x.size - 1)
+    lo = np.floor(h).astype(int)
+    hi = np.minimum(lo + 1, x.size - 1)
+    qs = xs[lo] + (xs[hi] - xs[lo]) * (h - lo)
+    return [float(np.max(x) - np.min(x)), mean, float(np.sqrt(var)), skew,
+            kurt] + qs.tolist()
+
+
+def reference_row(us, cfg):
+    """Feature row built series by series, distribution by distribution and
+    window by window from :func:`build_stack`."""
+    stack = build_stack(us, cfg.smoothing_iterations)
+    dists = {
+        "position": stack.base.values[:, 0],
+        "velocity": stack.first_deriv.values[:, 0],
+        "acceleration": stack.second_deriv.values[:, 0],
+        "curvature": stack.curvature,
+        "signed_curvature": stack.signed_curvature,
+    }
+    values, labels = [], []
+    for name in UNIVARIATE_DISTRIBUTIONS:
+        for w, (a, b) in enumerate(window_bounds(us.n_samples, cfg.num_windows)):
+            values.extend(reference_summary(dists[name][a:b], cfg.summary))
+            labels.extend((name, w, s) for s in cfg.summary.statistic_names)
+    return np.array(values), tuple(labels)
+
+
+def mixed_collection():
+    """Interleaved lengths and steps, remainders, flat stretches, padding."""
+    rng = np.random.default_rng(7)
+    out = []
+    for n, step in [(97, 1.0), (60, 0.5), (97, 1.0), (131, 0.25), (60, 0.5),
+                    (97, 2.0)]:
+        values = np.cumsum(rng.normal(size=n))
+        values[n // 3: n // 3 + 25] = 0.3  # a window-sized constant stretch
+        out.append(UniformSeries(5.0, step, values))
+    out.append(UniformSeries(0.0, 1.0, np.full(40, 0.1)))
+    raw = [TimeSeries(np.arange(float(n)), np.sin(0.2 * np.arange(n))
+                      + rng.normal(0, 0.1, n)) for n in (50, 80, 123)]
+    out.extend(equalize_lengths(raw, min_samples=60))  # zero-padded tails
+    return out
 
 
 def multivariate_cfg(num_windows=1, smoothing=1):
@@ -113,6 +174,56 @@ class TestExtractUnivariate:
                      if d == "velocity" and wi == w]
             np.testing.assert_array_equal(
                 block, summarize(velocity[a:b], cfg.summary))
+
+
+class TestUnivariateMatrix:
+    @pytest.mark.parametrize("smoothing", [0, 1, 2])
+    @pytest.mark.parametrize("windows", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_window_reference(self, smoothing, windows):
+        series = mixed_collection()
+        cfg = GeoStatConfig(num_windows=windows, smoothing_iterations=smoothing)
+        fm = univariate_matrix(series, [str(i) for i in range(len(series))], cfg)
+        for us, row in zip(series, fm.rows):
+            want, labels = reference_row(us, cfg)
+            assert fm.column_labels == labels
+            np.testing.assert_allclose(row, want, rtol=1e-10, atol=1e-12)
+
+    def test_block_size_does_not_change_rows(self, monkeypatch):
+        series = mixed_collection()
+        cfg = GeoStatConfig(num_windows=3, smoothing_iterations=1)
+        whole = univariate_matrix(series, ["a"] * len(series), cfg)
+        monkeypatch.setattr(features, "BLOCK_SAMPLES", 1)
+        single = univariate_matrix(series, ["a"] * len(series), cfg)
+        np.testing.assert_array_equal(single.rows, whole.rows)
+        np.testing.assert_array_equal(
+            extract_univariate(series[3], cfg)[0], whole.rows[3])
+
+    def test_rejects_multivariate_member(self):
+        series = [sine_series(), UniformSeries(0.0, 1.0, np.ones((500, 2)))]
+        with pytest.raises(ValueError):
+            univariate_matrix(series, ["a", "b"], GeoStatConfig())
+
+    def test_peak_memory_does_not_grow_with_series_count(self):
+        rng = np.random.default_rng(3)
+        cfg = GeoStatConfig(num_windows=2)
+        per_block = features.BLOCK_SAMPLES // 100
+
+        def transient_peak(n_series):
+            series = [UniformSeries(0.0, 1.0, rng.normal(size=100))
+                      for _ in range(n_series)]
+            tracemalloc.start()
+            try:
+                fm = univariate_matrix(series, ["a"] * n_series, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - fm.rows.nbytes
+
+        small = transient_peak(2 * per_block)
+        large = transient_peak(16 * per_block)
+        # Beside the rows, each series adds only list and tuple slots;
+        # featurizing all series at once would make ``large`` 8x ``small``.
+        assert large < 1.1 * small
 
 
 class TestExtractMultivariate:
@@ -269,6 +380,24 @@ class TestCsvRoundtrip:
         np.testing.assert_array_equal(back.rows, fm.rows)
         assert back.column_labels == fm.column_labels
         assert back.labels == fm.labels
+
+    @pytest.mark.parametrize("n_columns", [0, 3])
+    def test_bytes_match_csv_writer(self, tmp_path, n_columns):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(6, n_columns)) * [1e-300, 1.0, 1e300][:n_columns]
+        labels = ["a,b", 'say "hi"', "", "plain", "x\ny", "a,b"]
+        cols = tuple(("position", 0, f"q{i}") for i in range(n_columns))
+        fm = FeatureMatrix(values, cols, labels)
+        path = tmp_path / "features.csv"
+        write_feature_csv(fm, path)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f"{d}.{w}.{s}" for d, w, s in cols] + ["label"])
+        for row, label in zip(values, labels):
+            writer.writerow([repr(float(v)) for v in row] + [label])
+        assert path.read_bytes() == buf.getvalue().encode()
+        back = read_feature_csv(path)
+        assert back.labels == tuple(labels)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         fm = univariate_matrix([sine_series()], ["a"], GeoStatConfig())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geostat.stats import (
@@ -141,6 +141,9 @@ class TestSummarize:
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
            st.integers(0, 2**16))
     @settings(max_examples=50)
+    # Positive variances whose powers underflow to zero.
+    @example([0.0, 7.6e-133], 0)
+    @example([1e-160, 0.0, 0.0], 1)
     def test_permutation_invariance(self, samples, seed):
         cfg = SummaryConfig()
         base = summarize(samples, cfg)
@@ -149,6 +152,29 @@ class TestSummarize:
         rng.shuffle(shuffled)
         np.testing.assert_allclose(base, summarize(shuffled, cfg),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("samples,skew,kurt", [
+        ([0.0, 7.6e-133], 0.0, -2.0),
+        ([1e-160, 0.0, 0.0], math.sqrt(0.5), -1.5),
+    ])
+    def test_underflowing_variance_keeps_shape(self, samples, skew, kurt):
+        cfg = SummaryConfig(quantiles=())
+        vec = summarize(samples, cfg)
+        # The second sample's variance is subnormal, so only a few digits
+        # of the shape statistics survive.
+        assert vec[3] == pytest.approx(skew, abs=1e-3)
+        assert vec[4] == pytest.approx(kurt, abs=1e-3)
+
+    def test_batched_rows_match_single_calls(self):
+        rng = np.random.default_rng(2)
+        batch = rng.normal(size=(3, 4, 37))
+        batch[1, 2] = 0.25  # a constant distribution
+        cfg = SummaryConfig()
+        got = summarize(batch, cfg)
+        assert got.shape == (3, 4, cfg.size)
+        for i in range(3):
+            for j in range(4):
+                np.testing.assert_array_equal(got[i, j], summarize(batch[i, j], cfg))
 
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=40),
            st.floats(0.1, 10), st.floats(-50, 50))
