@@ -63,7 +63,7 @@ from .classify import (
     svm_fit,
     svm_predict,
 )
-from .dtw import DTWConfig, dtw_distance, nn_dtw_classify
+from .dtw import DTWConfig, dtw_distance, dtw_matrix, nn_dtw_classify
 from .ingest import (
     SegmentSet,
     UCRDataset,

@@ -48,6 +48,9 @@ KNN_WEIGHT_CHOICES = ("uniform", "distance")
 KNN_P_CHOICES = (1, 2)
 SVM_C_CHOICES = (0.1, 1.0, 10.0)
 SVM_KERNEL_CHOICES = ("linear", "rbf", "poly")
+# The polynomial kernel is (gamma <a, b> + POLY_COEF0) ** POLY_DEGREE.
+POLY_DEGREE = 2
+POLY_COEF0 = 1.0
 
 # Distances are computed for as many queries at a time as keep the
 # (queries x training rows x features) temporary under this many entries,
@@ -89,9 +92,6 @@ class KNNParams:
 class SVMParams:
     c: float = 1.0
     kernel: str = "rbf"
-    degree: int = 2
-    gamma: str = "scale"
-    coef0: float = 1.0
 
     def __post_init__(self):
         if self.kernel not in SVM_KERNEL_CHOICES:
@@ -204,12 +204,12 @@ def knn_predict(model: KNNModel, queries) -> np.ndarray:
 # support-vector machine (sequential minimal optimization)
 # ---------------------------------------------------------------------------
 
-def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float,
-                  degree: int = 2, coef0: float = 1.0) -> np.ndarray:
+def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str,
+                  gamma: float) -> np.ndarray:
     if kernel == "linear":
         return a @ b.T
     if kernel == "poly":
-        return (gamma * (a @ b.T) + coef0) ** degree
+        return (gamma * (a @ b.T) + POLY_COEF0) ** POLY_DEGREE
     if kernel == "rbf":
         sq = (np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
               - 2.0 * (a @ b.T))
@@ -218,18 +218,14 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float,
 
 
 def resolve_gamma(params: SVMParams, train: np.ndarray) -> float:
-    """Numeric kernel width. ``"scale"`` maps to
-    ``1 / (n_features * mean per-feature variance)`` of the training data."""
+    """Kernel width ``1 / (n_features * mean per-feature variance)`` of the
+    training data (1 for the linear kernel or constant data)."""
     if params.kernel == "linear":
         return 1.0
-    if isinstance(params.gamma, (int, float)):
-        return float(params.gamma)
-    if params.gamma == "scale":
-        var = float(train.var(axis=0).mean())
-        if var <= 0:
-            return 1.0
-        return 1.0 / (train.shape[1] * var)
-    raise ValueError(f"unknown gamma spec {params.gamma!r}")
+    var = float(train.var(axis=0).mean())
+    if var <= 0:
+        return 1.0
+    return 1.0 / (train.shape[1] * var)
 
 
 def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
@@ -308,11 +304,10 @@ class _BinarySVM:
     sv_coef: np.ndarray  # alpha_i * y_i for the support vectors
     bias: float
 
-    def decision(self, queries: np.ndarray, kernel: str, gamma: float,
-                 degree: int, coef0: float) -> np.ndarray:
+    def decision(self, queries: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
         if self.sv_points.shape[0] == 0:
             return np.full(queries.shape[0], self.bias)
-        k = kernel_matrix(queries, self.sv_points, kernel, gamma, degree, coef0)
+        k = kernel_matrix(queries, self.sv_points, kernel, gamma)
         return k @ self.sv_coef + self.bias
 
 
@@ -349,8 +344,7 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
             mask = (labels == pos) | (labels == neg)
             sub = pts[mask]
             y = np.where(labels[mask] == pos, 1.0, -1.0)
-            K = kernel_matrix(sub, sub, params.kernel, gamma,
-                              params.degree, params.coef0)
+            K = kernel_matrix(sub, sub, params.kernel, gamma)
             alpha, bias, ok = smo_solve(K, y, params.c, tol=tol,
                                         max_steps=max_steps)
             if not ok:
@@ -370,9 +364,8 @@ def svm_predict(model: SVMModel, queries) -> np.ndarray:
         q = q.reshape(1, -1)
     votes = np.zeros((q.shape[0], len(model.classes)))
     index = {c: i for i, c in enumerate(model.classes)}
-    p = model.params
     for pair in model.pairs:
-        dec = pair.decision(q, p.kernel, model.gamma, p.degree, p.coef0)
+        dec = pair.decision(q, model.params.kernel, model.gamma)
         votes[dec > 0, index[pair.pos_class]] += 1
         votes[dec <= 0, index[pair.neg_class]] += 1
     winners = np.argmax(votes, axis=1)

@@ -5,6 +5,11 @@ with steps (i-1, j), (i, j-1), (i-1, j-1), squared pointwise differences as
 the local cost, and a square root applied to the accumulated total. An
 optional diagonal band constrains how far the alignment may stray; widening
 the band can only decrease the distance.
+
+:func:`dtw_matrix` runs the program row by row for blocks of zero-padded
+(query, train) pairs, each cell vectorised across the pairs. Cells outside a
+pair's band cost ``inf`` and cells past its lengths never reach its result,
+so each reachable cell does the same float operations as for one pair.
 """
 
 from __future__ import annotations
@@ -13,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DTWConfig", "dtw_distance", "nn_dtw_classify"]
+__all__ = ["DTWConfig", "dtw_distance", "dtw_matrix", "nn_dtw_classify"]
+
+# Pairs go in blocks that keep each (length x pairs) buffer under this many
+# entries, 2 MB of float64.
+DTW_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -28,14 +37,13 @@ class DTWConfig:
     band_fraction: float = None
 
     def __post_init__(self):
-        if self.band_fraction is not None:
-            if not (0.0 <= self.band_fraction <= 1.0):
-                raise ValueError("band_fraction must lie in [0, 1]")
+        if self.band_fraction is not None and not 0.0 <= self.band_fraction <= 1.0:
+            raise ValueError("band_fraction must lie in [0, 1]")
 
 
-def _band_width(cfg: DTWConfig, n: int, m: int):
+def _band_width(cfg: DTWConfig, n: int, m: int) -> int:
     if cfg.band_fraction is None:
-        return None
+        return max(n, m)  # as wide as the longer series: no constraint
     w = int(np.ceil(cfg.band_fraction * max(n, m)))
     if w < abs(n - m):
         raise ValueError(
@@ -43,52 +51,58 @@ def _band_width(cfg: DTWConfig, n: int, m: int):
     return w
 
 
-def dtw_distance(a, b, cfg: DTWConfig = DTWConfig(), early_abandon=None) -> float:
-    """Alignment distance between two scalar series.
-
-    Parameters
-    ----------
-    a, b : array_like
-        Nonempty 1-d value sequences (lengths may differ).
-    cfg : DTWConfig
-        Band constraint. An infeasible band for the given lengths raises.
-    early_abandon : float, optional
-        Abandon and return ``inf`` once every reachable cell of a row
-        exceeds this squared-cost threshold. Only used as a pruning bound;
-        any result below the threshold is unaffected.
-    """
-    x = np.asarray(a, dtype=float).reshape(-1)
-    z = np.asarray(b, dtype=float).reshape(-1)
-    if x.size == 0 or z.size == 0:
-        raise ValueError("series must be nonempty")
-    n, m = x.size, z.size
-    w = _band_width(cfg, n, m)
-
-    prev = np.full(m, np.inf)
-    for i in range(n):
-        if w is None:
-            j_lo, j_hi = 0, m - 1
-        else:
-            j_lo = max(0, i - w)
-            j_hi = min(m - 1, i + w)
-        cur = np.full(m, np.inf)
-        cost_row = (x[i] - z[j_lo:j_hi + 1]) ** 2
-        for j in range(j_lo, j_hi + 1):
-            c = cost_row[j - j_lo]
-            if i == 0 and j == 0:
-                best = 0.0
-            else:
-                best = prev[j]  # (i-1, j)
-                if j > 0:
-                    if prev[j - 1] < best:
-                        best = prev[j - 1]  # (i-1, j-1)
-                    if cur[j - 1] < best:
-                        best = cur[j - 1]  # (i, j-1)
-            cur[j] = c + best
-        if early_abandon is not None and np.min(cur[j_lo:j_hi + 1]) > early_abandon:
-            return float("inf")
+def _pair_block(xs, zs, w) -> np.ndarray:
+    """Distances of the pairs ``(xs[p], zs[p])`` under band half-widths
+    ``w[p]``, each series zero-padded to a column of one array."""
+    n, m = (np.array([s.size for s in group]) for group in (xs, zs))
+    x, z = np.zeros((n.max(), n.size)), np.zeros((m.max(), m.size))
+    for p, (a, b) in enumerate(zip(xs, zs)):
+        x[:a.size, p], z[:b.size, p] = a, b
+    reach = int(w.max())
+    # Row j + 1 holds cell j; row 0, j = -1, holds where every path starts.
+    prev = np.full((z.shape[0] + 1, z.shape[1]), np.inf)
+    prev[0] = 0.0
+    out = np.empty(z.shape[1])
+    for i in range(x.shape[0]):
+        lo, hi = max(0, i - reach), min(z.shape[0], i + reach + 1)
+        cost = (x[i] - z[lo:hi]) ** 2
+        cost[np.abs(i - np.arange(lo, hi))[:, None] > w] = np.inf
+        # The (i-1, j) and (i-1, j-1) candidates do not depend on this row.
+        up = np.minimum(prev[lo + 1:hi + 1], prev[lo:hi])
+        cur = np.full_like(prev, np.inf)
+        for j in range(lo, hi):
+            cur[j + 1] = cost[j - lo] + np.minimum(up[j - lo], cur[j])
+        last = n == i + 1
+        out[last] = cur[m[last], last]
         prev = cur
-    return float(np.sqrt(prev[m - 1]))
+    return np.sqrt(out)
+
+
+def dtw_matrix(queries, train, cfg: DTWConfig = DTWConfig()) -> np.ndarray:
+    """``(len(queries), len(train))`` array of the alignment distances of
+    nonempty scalar series whose lengths may differ. A band that cannot
+    connect the lengths of some pair raises before any work is done."""
+    queries = [np.asarray(s, dtype=float).reshape(-1) for s in queries]
+    train = [np.asarray(s, dtype=float).reshape(-1) for s in train]
+    if any(s.size == 0 for s in queries + train):
+        raise ValueError("series must be nonempty")
+    out = np.empty((len(queries), len(train)))
+    longest = max((s.size for s in queries + train), default=0)
+    widths = {(a, b): _band_width(cfg, a, b) for a in {s.size for s in queries}
+              for b in {s.size for s in train}}
+    step = max(1, DTW_BLOCK_ENTRIES // (longest + 1))
+    for start in range(0, out.size, step):
+        q, t = np.divmod(range(start, min(start + step, out.size)), len(train))
+        xs, zs = [queries[k] for k in q], [train[k] for k in t]
+        w = np.array([widths[a.size, b.size] for a, b in zip(xs, zs)])
+        out.flat[start:start + len(xs)] = _pair_block(xs, zs, w)
+    return out
+
+
+def dtw_distance(a, b, cfg: DTWConfig = DTWConfig()) -> float:
+    """Alignment distance between two nonempty scalar series (lengths may
+    differ); the one-pair case of :func:`dtw_matrix`."""
+    return float(dtw_matrix([a], [b], cfg)[0, 0])
 
 
 def nn_dtw_classify(train_series, train_labels, test_series,
@@ -96,25 +110,11 @@ def nn_dtw_classify(train_series, train_labels, test_series,
     """Label each test series by its nearest training series.
 
     Distance ties are broken by training index (the earliest wins), so the
-    procedure is fully deterministic. Uses best-so-far early abandoning,
-    which cannot change the result. Returns an array of predicted labels.
+    procedure is fully deterministic. Returns an array of predicted labels.
     """
-    train_series = [np.asarray(s, dtype=float).reshape(-1) for s in train_series]
-    train_labels = [str(v) for v in train_labels]
-    if not train_series:
+    train_labels = np.array([str(v) for v in train_labels], dtype=object)
+    if len(train_series) == 0:
         raise ValueError("training set is empty")
     if len(train_series) != len(train_labels):
         raise ValueError("training series and labels counts differ")
-    out = []
-    for q in test_series:
-        best = np.inf
-        best_label = train_labels[0]
-        for s, label in zip(train_series, train_labels):
-            # Strict threshold keeps exact ties computable for the index rule.
-            d = dtw_distance(q, s, cfg,
-                             early_abandon=None if np.isinf(best) else best**2)
-            if d < best:
-                best = d
-                best_label = label
-        out.append(best_label)
-    return np.array(out, dtype=object)
+    return train_labels[dtw_matrix(test_series, train_series, cfg).argmin(axis=1)]

@@ -48,7 +48,7 @@ MIN_SEGMENT_POINTS = 4
 VESSEL_SMOOTHING_ITERATIONS = 10
 VESSEL_WINDOW_SECONDS = 600.0
 
-DEFAULT_DROP_LABELS = frozenset({"unknown", "other_fishing", "gear_buoy", "gear/buoy"})
+DROP_LABELS = frozenset({"unknown", "other_fishing", "gear_buoy", "gear/buoy"})
 
 DEFAULT_VESSEL_COLUMNS = {
     "timestamp": "timestamp",
@@ -328,20 +328,17 @@ def _load_vessel_file(path: Path, cols) -> list:
     return tracks
 
 
-def segment_vessel(track: VesselTrack,
-                   active_threshold: float = ACTIVE_SPEED_KNOTS,
-                   gap_threshold: float = GAP_THRESHOLD_SECONDS,
-                   min_points: int = MIN_SEGMENT_POINTS) -> SegmentSet:
+def segment_vessel(track: VesselTrack) -> SegmentSet:
     """Split a track into active segments, inactivity periods, and gaps.
 
     The track is first cut at every inter-sample spacing of at least
-    ``gap_threshold`` seconds, recording each such spacing as a gap
+    ``GAP_THRESHOLD_SECONDS``, recording each such spacing as a gap
     duration. Inside a contiguous run, each inter-sample interval is active
     or inactive according to the speed reported at its left endpoint;
     maximal stretches of same-state intervals become segments, consecutive
     segments sharing their boundary sample. Inactive segments contribute
     only their duration (last minus first timestamp); active segments with
-    fewer than ``min_points`` timestamps are dropped, with their spans
+    fewer than ``MIN_SEGMENT_POINTS`` timestamps are dropped, with their spans
     recorded separately so that spans, durations, gaps, and dropped spans
     add up to the track span exactly.
     """
@@ -352,7 +349,7 @@ def segment_vessel(track: VesselTrack,
     runs = []
     start = 0
     for i, dt in enumerate(dts):
-        if dt >= gap_threshold:
+        if dt >= GAP_THRESHOLD_SECONDS:
             gaps.append(float(dt))
             runs.append((start, i))
             start = i + 1
@@ -364,7 +361,7 @@ def segment_vessel(track: VesselTrack,
     for lo, hi in runs:
         if hi <= lo:
             continue  # single-sample run spans no time
-        states = track.speeds[lo:hi] >= active_threshold  # one per interval
+        states = track.speeds[lo:hi] >= ACTIVE_SPEED_KNOTS  # one per interval
         edges = [lo]
         for i in range(1, hi - lo):
             if states[i] != states[i - 1]:
@@ -379,8 +376,8 @@ def segment_vessel(track: VesselTrack,
             # The timestamp floor counts the samples actually in motion; the
             # trailing shared boundary sample may already be below threshold.
             moving = int(np.sum(
-                track.speeds[seg_lo:seg_hi + 1] >= active_threshold))
-            if moving < min_points:
+                track.speeds[seg_lo:seg_hi + 1] >= ACTIVE_SPEED_KNOTS))
+            if moving < MIN_SEGMENT_POINTS:
                 dropped.append(span)
             else:
                 sl = slice(seg_lo, seg_hi + 1)
@@ -394,23 +391,20 @@ def segment_vessel(track: VesselTrack,
                       tuple(dropped), track.span)
 
 
-def filter_labels(tracks,
-                  drop_labels=DEFAULT_DROP_LABELS,
-                  active_threshold: float = ACTIVE_SPEED_KNOTS,
-                  gap_threshold: float = GAP_THRESHOLD_SECONDS) -> list:
+def filter_labels(tracks) -> list:
     """Keep tracks with a usable class label and some downtime signal.
 
-    Drops unlabeled tracks, tracks whose label is in ``drop_labels``, and
+    Drops unlabeled tracks, tracks whose label is in ``DROP_LABELS``, and
     tracks that show neither an inactivity period nor a long sampling gap.
     """
     kept = []
     for track in tracks:
         label = track.label.strip().lower()
-        if not label or label in drop_labels:
+        if not label or label in DROP_LABELS:
             continue
         if track.n_samples < 2:
             continue
-        seg = segment_vessel(track, active_threshold, gap_threshold)
+        seg = segment_vessel(track)
         if not seg.inactive_durations and not seg.gap_durations:
             continue
         kept.append(track)
@@ -518,10 +512,7 @@ def vessel_features(seg: SegmentSet, cfg: GeoStatConfig):
     return np.array(values), labels
 
 
-def vessel_feature_matrix(tracks, cfg: GeoStatConfig,
-                          active_threshold: float = ACTIVE_SPEED_KNOTS,
-                          gap_threshold: float = GAP_THRESHOLD_SECONDS,
-                          min_points: int = MIN_SEGMENT_POINTS) -> FeatureMatrix:
+def vessel_feature_matrix(tracks, cfg: GeoStatConfig) -> FeatureMatrix:
     """Segment and featurize a collection of labeled tracks."""
     tracks = list(tracks)
     if not tracks:
@@ -529,7 +520,7 @@ def vessel_feature_matrix(tracks, cfg: GeoStatConfig,
     rows = []
     col_labels = None
     for track in tracks:
-        seg = segment_vessel(track, active_threshold, gap_threshold, min_points)
+        seg = segment_vessel(track)
         vec, labels = vessel_features(seg, cfg)
         if col_labels is None:
             col_labels = labels

@@ -3,8 +3,8 @@
 The scalar summaries are deliberately plain: range, population moments, and
 order-statistic quantiles with linear interpolation at fractional positions
 ``h = q * (N - 1)``. Kurtosis is reported as excess (normal data scores 0),
-and zero-variance samples yield skew and kurtosis of 0 so that constant
-windows still produce finite feature vectors.
+and constant samples (zero range) yield skew and kurtosis of 0 so that
+constant windows still produce finite feature vectors.
 
 Spherical positions cannot be summarized by coordinate-wise quantiles, so
 they are summarized by the point minimizing the sum of squared great-circle
@@ -47,16 +47,11 @@ class SummaryConfig:
     """Which statistics a summary vector contains, in fixed order.
 
     The moment-style statistics (range, mean, std, skew, kurtosis) come
-    first, each controlled by its own flag, followed by the configured
-    quantiles in increasing order of probability.
+    first, followed by the configured quantiles in increasing order of
+    probability.
     """
 
     quantiles: tuple = UNIVARIATE_QUANTILES
-    include_range: bool = True
-    include_mean: bool = True
-    include_std: bool = True
-    include_skew: bool = True
-    include_kurtosis: bool = True
 
     def __post_init__(self):
         qs = tuple(float(q) for q in self.quantiles)
@@ -68,12 +63,7 @@ class SummaryConfig:
 
     @property
     def statistic_names(self) -> tuple:
-        names = []
-        flags = (self.include_range, self.include_mean, self.include_std,
-                 self.include_skew, self.include_kurtosis)
-        names.extend(n for n, on in zip(MOMENT_NAMES, flags) if on)
-        names.extend(_quantile_name(q) for q in self.quantiles)
-        return tuple(names)
+        return MOMENT_NAMES + tuple(_quantile_name(q) for q in self.quantiles)
 
     @property
     def size(self) -> int:
@@ -109,7 +99,7 @@ def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
 
     ``samples`` of shape ``(..., n)`` holds one distribution of ``n`` values
     per leading index; the result has shape ``(..., cfg.size)`` with the
-    enabled statistics in the order given by ``cfg.statistic_names``. A 1-d
+    statistics in the order given by ``cfg.statistic_names``. A 1-d
     sample gives a single vector. Moments are population moments (no bias
     correction). Skew and kurtosis are taken from the samples scaled by
     their standard deviation, so they stay finite when the variance is
@@ -118,7 +108,8 @@ def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the distributions are empty or contain non-finite values.
+        If the distributions are empty, contain non-finite values, or are
+        so large (beyond about 1e154) that their variance overflows.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 0:
@@ -128,26 +119,29 @@ def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
 
-    mean = x.mean(axis=-1)
-    centered = x - mean[..., None]
-    var = (centered * centered).mean(axis=-1)
+    with np.errstate(over="ignore"):
+        mean = x.mean(axis=-1)
+        centered = x - mean[..., None]
+        var = (centered * centered).mean(axis=-1)
+    if not np.all(np.isfinite(var)):
+        raise ValueError("samples are too large to summarize: their variance "
+                         "overflows")
     std = np.sqrt(var)
-    spread = var > 0.0
-    u = centered / np.where(spread, std, 1.0)[..., None]
-    u2 = u * u
-    var_u = np.where(spread, u2.mean(axis=-1), 1.0)
-    skew = np.where(spread, (u2 * u).mean(axis=-1) / (var_u * np.sqrt(var_u)), 0.0)
-    kurt = np.where(spread, (u2 * u2).mean(axis=-1) / (var_u * var_u) - 3.0, 0.0)
-
     xs = np.sort(x, axis=-1)
-    moments = [value for on, value in (
-        (cfg.include_range, xs[..., -1] - xs[..., 0]), (cfg.include_mean, mean),
-        (cfg.include_std, std), (cfg.include_skew, skew),
-        (cfg.include_kurtosis, kurt)) if on]
+    spread = xs[..., -1] - xs[..., 0]
+    # A constant sample whose mean rounds has a variance of rounding error;
+    # one whose variance underflows cannot be scaled by its std.
+    shaped = (spread > 0.0) & (var > 0.0)
+    u = centered / np.where(shaped, std, 1.0)[..., None]
+    u2 = u * u
+    var_u = np.where(shaped, u2.mean(axis=-1), 1.0)
+    skew = np.where(shaped, (u2 * u).mean(axis=-1) / (var_u * np.sqrt(var_u)), 0.0)
+    kurt = np.where(shaped, (u2 * u2).mean(axis=-1) / (var_u * var_u) - 3.0, 0.0)
+
     out = np.empty(x.shape[:-1] + (cfg.size,))
-    for i, value in enumerate(moments):
+    for i, value in enumerate((spread, mean, std, skew, kurt)):
         out[..., i] = value
-    out[..., len(moments):] = _sorted_quantiles(xs, cfg.quantiles)
+    out[..., len(MOMENT_NAMES):] = _sorted_quantiles(xs, cfg.quantiles)
     return out
 
 

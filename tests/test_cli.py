@@ -280,3 +280,13 @@ class TestDTWCommand:
         # Random phases keep this from being trivial for warping alignment;
         # well above chance is what the baseline should deliver here.
         assert float(rows[1][2]) >= 0.7
+
+    def test_band_that_cannot_connect_lengths_is_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = [(label, rng.normal(size=n)) for label, n in
+                (("a", 40), ("b", 40), ("a", 12), ("b", 40))]
+        data = write_ucr_dataset(tmp_path / "Ragged", "Ragged", rows[:2], rows[2:])
+        out = tmp_path / "out"
+        assert run("dtw", "--dataset", data, "--out", out, "--band", "0.1") == 1
+        assert "error: band half-width 4 cannot connect" in capsys.readouterr().err
+        assert not (out / "dtw_results.csv").exists()

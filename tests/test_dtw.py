@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geostat import dtw
 from geostat.classify import accuracy
-from geostat.dtw import DTWConfig, dtw_distance, nn_dtw_classify
+from geostat.dtw import DTWConfig, dtw_distance, dtw_matrix, nn_dtw_classify
 
 
 def dtw_oracle(a, b):
@@ -17,6 +20,99 @@ def dtw_oracle(a, b):
             cost = (a[i - 1] - b[j - 1]) ** 2
             d[i, j] = cost + min(d[i - 1, j], d[i, j - 1], d[i - 1, j - 1])
     return float(np.sqrt(d[n, m]))
+
+
+def per_cell_reference(a, b, band_fraction=None):
+    """One pair, one cell at a time, as the distance was first computed.
+
+    Returns ``inf`` where the band cannot connect the two lengths.
+    """
+    x = np.asarray(a, dtype=float)
+    z = np.asarray(b, dtype=float)
+    n, m = x.size, z.size
+    w = None if band_fraction is None else int(np.ceil(band_fraction * max(n, m)))
+    prev = np.full(m, np.inf)
+    for i in range(n):
+        j_lo, j_hi = (0, m - 1) if w is None else (max(0, i - w), min(m - 1, i + w))
+        cur = np.full(m, np.inf)
+        cost_row = (x[i] - z[j_lo:j_hi + 1]) ** 2
+        for j in range(j_lo, j_hi + 1):
+            c = cost_row[j - j_lo]
+            if i == 0 and j == 0:
+                best = 0.0
+            else:
+                best = prev[j]  # (i-1, j)
+                if j > 0:
+                    if prev[j - 1] < best:
+                        best = prev[j - 1]  # (i-1, j-1)
+                    if cur[j - 1] < best:
+                        best = cur[j - 1]  # (i, j-1)
+            cur[j] = c + best
+        prev = cur
+    return float(np.sqrt(prev[m - 1]))
+
+
+def mixed_length_series(seed=8):
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(rng.normal(size=n)) for n in range(1, 41)]
+
+
+class TestDTWMatrix:
+    @pytest.mark.parametrize("band", [0.0, 0.1, 0.5, 1.0, None])
+    def test_equals_per_cell_reference_exactly(self, band):
+        series = mixed_length_series()
+        cfg = DTWConfig(band)
+        for q in series[::3]:
+            want = np.array([per_cell_reference(q, t, band) for t in series])
+            feasible = np.isfinite(want)
+            got = dtw_matrix([q], [t for t, ok in zip(series, feasible) if ok], cfg)
+            assert got.shape == (1, feasible.sum())
+            assert np.array_equal(got[0], want[feasible])
+            for t in (t for t, ok in zip(series, feasible) if not ok):
+                with pytest.raises(ValueError, match="band half-width"):
+                    dtw_distance(q, t, cfg)
+
+    @pytest.mark.parametrize("band", [None, 1.0])
+    def test_blocks_of_mixed_lengths_equal_reference(self, band, monkeypatch):
+        series = mixed_length_series(9)
+        queries, train = series[::4], series[1::3]
+        want = np.array([[per_cell_reference(q, t, band) for t in train]
+                         for q in queries])
+        whole = dtw_matrix(queries, train, DTWConfig(band))
+        # Three pairs per block, so blocks split query rows and mix lengths.
+        monkeypatch.setattr(dtw, "DTW_BLOCK_ENTRIES", 3 * 41)
+        blocked = dtw_matrix(queries, train, DTWConfig(band))
+        assert np.array_equal(whole, want)
+        assert np.array_equal(blocked, want)
+
+    def test_one_infeasible_pair_rejects_the_matrix(self):
+        with pytest.raises(ValueError, match="half-width 2 .* lengths 2 and 20"):
+            dtw_matrix([np.zeros(20), np.zeros(2)], [np.zeros(20)], DTWConfig(0.1))
+
+    def test_empty_collections(self):
+        assert dtw_matrix([], [[1.0]]).shape == (0, 1)
+        assert dtw_matrix([[1.0]], []).shape == (1, 0)
+
+    def test_peak_memory_does_not_grow_with_pair_count(self, monkeypatch):
+        monkeypatch.setattr(dtw, "DTW_BLOCK_ENTRIES", 400 * 51)
+        rng = np.random.default_rng(10)
+        train = [rng.normal(size=50) for _ in range(10)]
+
+        def transient_peak(n_queries):
+            queries = [rng.normal(size=50) for _ in range(n_queries)]
+            tracemalloc.start()
+            try:
+                d = dtw_matrix(queries, train, DTWConfig(0.2))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - d.nbytes
+
+        small = transient_peak(80)
+        large = transient_peak(640)
+        # Beside the result, each query adds only a list slot; computing
+        # all pairs at once would make ``large`` 8x ``small``.
+        assert large < 1.1 * small
 
 
 class TestDTWDistance:
@@ -79,13 +175,6 @@ class TestDTWDistance:
         for wide, narrow in zip(dists[1:], dists[:-1]):
             assert wide <= narrow + 1e-12
 
-    def test_early_abandon_does_not_change_small_results(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=20)
-        b = rng.normal(size=20)
-        full = dtw_distance(a, b)
-        assert dtw_distance(a, b, early_abandon=full**2 + 1.0) == full
-
 
 class TestNNDTW:
     def test_train_equals_test(self):
@@ -117,6 +206,17 @@ class TestNNDTW:
         train = [[0.0, 0.0], [0.0, 0.0]]
         pred = nn_dtw_classify(train, ["first", "second"], [[0.0, 0.0]])
         assert pred[0] == "first"
+
+    @pytest.mark.parametrize("pairs_per_block", [1, 2, 3, 5])
+    def test_tie_break_across_blocks(self, pairs_per_block, monkeypatch):
+        # Blocks hold pairs_per_block x (longest length + 1) entries.
+        monkeypatch.setattr(dtw, "DTW_BLOCK_ENTRIES", pairs_per_block * 5)
+        near, far = [0.0, 1.0, 0.0], [5.0, 5.0, 5.0]
+        train = [far, near, far, near, near]
+        labels = ["far", "first", "far", "second", "third"]
+        queries = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [5.0, 5.0]]
+        pred = nn_dtw_classify(train, labels, queries)
+        assert list(pred) == ["first", "first", "far"]
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -33,11 +33,12 @@ def sine_series(n=500, cycles=3.0):
 
 
 def reference_summary(x, cfg):
-    """One distribution at a time, with powers, as the per-window loop did."""
+    """One distribution at a time, with powers, as the per-window loop did;
+    a constant distribution has no shape even when its mean rounds."""
     mean = float(np.mean(x))
     centered = x - mean
     var = float(np.mean(centered**2))
-    if var > 0.0:
+    if var > 0.0 and np.max(x) > np.min(x):
         skew = float(np.mean(centered**3)) / var**1.5
         kurt = float(np.mean(centered**4)) / var**2 - 3.0
     else:
@@ -141,6 +142,17 @@ class TestExtractUnivariate:
         for dist in ("velocity", "acceleration", "curvature", "signed_curvature"):
             assert by_label[(dist, 0, "mean")] == pytest.approx(0.0)
             assert by_label[(dist, 0, "range")] == pytest.approx(0.0)
+
+    def test_flat_window_has_no_shape(self):
+        # The second window lies on a constant whose mean rounds.
+        values = np.concatenate([np.sin(np.arange(50.0)), np.full(50, 0.1)])
+        us = UniformSeries(0.0, 1.0, values)
+        cfg = GeoStatConfig(num_windows=2, smoothing_iterations=0, min_samples=3)
+        row, labels = extract_univariate(us, cfg)
+        by_label = dict(zip(labels, row))
+        for stat in ("range", "skew", "kurtosis"):
+            assert by_label[("position", 1, stat)] == 0.0
+        assert by_label[("position", 1, "q0.5")] == 0.1
 
     def test_rejects_multivariate_input(self):
         us = UniformSeries(0.0, 1.0, np.ones((10, 2)))

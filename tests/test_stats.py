@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,25 @@ class TestSummarize:
         cfg = SummaryConfig(quantiles=())
         vec = summarize([7, 7, 7], cfg)
         np.testing.assert_allclose(vec, [0.0, 7.0, 0.0, 0.0, 0.0])
+
+    @given(st.floats(-1e3, 1e3), st.integers(1, 60))
+    @settings(max_examples=50)
+    # The mean of three 0.1s rounds, leaving a variance of rounding error.
+    @example(0.1, 3)
+    def test_constant_samples_have_no_shape(self, value, n):
+        vec = summarize([value] * n, SummaryConfig(quantiles=()))
+        assert vec[0] == 0.0
+        assert vec[3] == 0.0 and vec[4] == 0.0
+
+    @pytest.mark.parametrize("samples", [
+        [1e200, -1e200, 3e200],
+        [[1.0, 2.0, 3.0], [1e200, -1e200, 3e200]],
+    ])
+    def test_overflowing_variance_raises(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="variance overflows"):
+                summarize(samples, SummaryConfig())
 
     def test_median_of_four(self):
         cfg = SummaryConfig(quantiles=(0.5,))
