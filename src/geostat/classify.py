@@ -15,6 +15,7 @@ runs bit-reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -237,63 +238,100 @@ def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
     working pair at each step is the maximally violating one, and iteration
     stops once the violation gap falls below ``tol``.
 
-    Returns ``(alpha, bias, converged)`` where ``bias`` completes the
-    decision function ``f(x) = sum alpha_i y_i K(x_i, x) + bias`` and
+    ``y`` is a nonempty 1-d array of labels that are exactly +1 or -1, and
+    ``K`` a finite ``(n, n)`` kernel matrix with ``n = y.size``. The
+    violation vector ``-y * grad`` and the working sets are kept across
+    steps and only the two updated entries change, so a step costs a few
+    O(n) array operations and no n x n temporary.
+
+    Returns ``(alpha, bias, converged, steps)`` where ``bias`` completes the
+    decision function ``f(x) = sum alpha_i y_i K(x_i, x) + bias``,
     ``converged`` reports whether the gap criterion was met within
-    ``max_steps`` pair updates (default ``10 n^2``).
+    ``max_steps`` pair updates (default ``10 n^2``), and ``steps`` counts
+    the pair updates made.
+
+    Raises
+    ------
+    ValueError
+        If ``y`` is empty or not 1-d, ``K`` is not ``(n, n)`` or not finite,
+        a label is not +1 or -1, or ``c`` is not positive and finite.
     """
+    K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
-    if max_steps is None:
-        max_steps = 10 * n * n
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the minimization form: Q alpha - 1
-    diag = np.diag(K).copy()
+    if y.ndim != 1 or n == 0 or K.shape != (n, n):
+        raise ValueError(f"need a nonempty 1-d y and an (n, n) kernel matrix; "
+                         f"got y of shape {y.shape} and K of shape {K.shape}")
+    # max and min propagate NaN and reach any infinity without an n x n mask.
+    if not (math.isfinite(K.max()) and math.isfinite(K.min())):
+        raise ValueError("kernel matrix must be finite")
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("labels must be +1 or -1")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
+    max_steps = 10 * n * n if max_steps is None else int(max_steps)
     eps = 1e-12
+    top = c - eps
+    signs = y.tolist()
+    alpha = [0.0] * n
+    # yg = -y * grad, with grad = Q alpha - 1 the gradient of the
+    # minimization form. Since every y is +1 or -1, updating yg in place
+    # rounds exactly as updating grad and negating would.
+    yg = y.copy()
+    # Working sets: alpha_k can still move up (along y_k) or down. At
+    # alpha = 0 only the lower bound is active.
+    up = (y > 0) & (0.0 < top)
+    low = (y < 0) & (0.0 < top)
 
     converged = False
     m_val = M_val = 0.0
-    for _ in range(int(max_steps)):
-        yg = -y * grad
-        up = ((y > 0) & (alpha < c - eps)) | ((y < 0) & (alpha > eps))
-        low = ((y < 0) & (alpha < c - eps)) | ((y > 0) & (alpha > eps))
-        if not up.any() or not low.any():
+    steps = 0
+    while steps < max_steps:
+        # Outside its working set an entry is never chosen; argmax and
+        # argmin return the first extreme, the smallest index.
+        i = int(np.where(up, yg, -np.inf).argmax())
+        j = int(np.where(low, yg, np.inf).argmin())
+        if not (up[i] and low[j]):
             converged = True
-            m_val = yg[up].max() if up.any() else 0.0
-            M_val = yg[low].min() if low.any() else m_val
+            m_val = float(yg[i]) if up[i] else 0.0
+            M_val = float(yg[j]) if low[j] else m_val
             break
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = up_idx[np.argmax(yg[up_idx])]
-        j = low_idx[np.argmin(yg[low_idx])]
-        m_val = yg[i]
-        M_val = yg[j]
+        m_val = float(yg[i])
+        M_val = float(yg[j])
         if m_val - M_val <= tol:
             converged = True
             break
 
         # Two-variable subproblem along the feasible direction through (i, j).
-        eta = max(diag[i] + diag[j] - 2.0 * K[i, j], 1e-12)
-        s = y[i] * y[j]
+        y_i, y_j = signs[i], signs[j]
+        a_i, a_j = alpha[i], alpha[j]
+        eta = max(K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j), 1e-12)
+        s = y_i * y_j
         if s < 0:
-            lo = max(0.0, alpha[j] - alpha[i])
-            hi = min(c, c + alpha[j] - alpha[i])
+            lo = max(0.0, a_j - a_i)
+            hi = min(c, c + a_j - a_i)
         else:
-            lo = max(0.0, alpha[i] + alpha[j] - c)
-            hi = min(c, alpha[i] + alpha[j])
-        a_j_new = alpha[j] + y[j] * (y[i] * grad[i] - y[j] * grad[j]) / eta
+            lo = max(0.0, a_i + a_j - c)
+            hi = min(c, a_i + a_j)
+        a_j_new = a_j + y_j * (M_val - m_val) / eta
         a_j_new = min(max(a_j_new, lo), hi)
-        d_j = a_j_new - alpha[j]
+        d_j = a_j_new - a_j
         d_i = -s * d_j
         if abs(d_j) < 1e-15:
-            # Numerically stuck pair; accept the current gap.
-            converged = m_val - M_val <= tol
+            # Numerically stuck pair; the gap is still above tol.
             break
-        alpha[i] += d_i
-        alpha[j] += d_j
-        grad += (y * y[i] * K[:, i]) * d_i + (y * y[j] * K[:, j]) * d_j
+        a_i += d_i
+        a_j += d_j
+        alpha[i] = a_i
+        alpha[j] = a_j
+        yg += K[:, i] * (-y_i * d_i) + K[:, j] * (-y_j * d_j)
+        up[i] = a_i < top if y_i > 0 else a_i > eps
+        low[i] = a_i > eps if y_i > 0 else a_i < top
+        up[j] = a_j < top if y_j > 0 else a_j > eps
+        low[j] = a_j > eps if y_j > 0 else a_j < top
+        steps += 1
     bias = (m_val + M_val) / 2.0
-    return alpha, float(bias), converged
+    return np.array(alpha), float(bias), converged, steps
 
 
 @dataclass(frozen=True)
@@ -318,6 +356,7 @@ class SVMModel:
     params: SVMParams
     gamma: float
     converged: bool
+    smo_steps: int  # pair updates summed over the binary problems
     warnings: tuple = field(default=())
 
 
@@ -338,6 +377,7 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
     pairs = []
     notes = []
     all_converged = True
+    smo_steps = 0
     for a_i in range(len(classes)):
         for b_i in range(a_i + 1, len(classes)):
             pos, neg = classes[a_i], classes[b_i]
@@ -345,8 +385,9 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
             sub = pts[mask]
             y = np.where(labels[mask] == pos, 1.0, -1.0)
             K = kernel_matrix(sub, sub, params.kernel, gamma)
-            alpha, bias, ok = smo_solve(K, y, params.c, tol=tol,
-                                        max_steps=max_steps)
+            alpha, bias, ok, steps = smo_solve(K, y, params.c, tol=tol,
+                                               max_steps=max_steps)
+            smo_steps += steps
             if not ok:
                 all_converged = False
                 notes.append(f"pair ({pos}, {neg}) hit the iteration cap")
@@ -354,7 +395,7 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
             pairs.append(_BinarySVM(pos, neg, sub[sv], alpha[sv] * y[sv],
                                     bias))
     return SVMModel(tuple(classes), tuple(pairs), params, gamma,
-                    all_converged, tuple(notes))
+                    all_converged, smo_steps, tuple(notes))
 
 
 def svm_predict(model: SVMModel, queries) -> np.ndarray:

@@ -3,8 +3,8 @@
 The scalar summaries are deliberately plain: range, population moments, and
 order-statistic quantiles with linear interpolation at fractional positions
 ``h = q * (N - 1)``. Kurtosis is reported as excess (normal data scores 0),
-and constant samples (zero range) yield skew and kurtosis of 0 so that
-constant windows still produce finite feature vectors.
+and constant samples (zero range) yield std, skew and kurtosis of exactly 0
+so that constant windows still produce finite feature vectors.
 
 Spherical positions cannot be summarized by coordinate-wise quantiles, so
 they are summarized by the point minimizing the sum of squared great-circle
@@ -126,11 +126,12 @@ def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
     if not np.all(np.isfinite(var)):
         raise ValueError("samples are too large to summarize: their variance "
                          "overflows")
-    std = np.sqrt(var)
     xs = np.sort(x, axis=-1)
     spread = xs[..., -1] - xs[..., 0]
-    # A constant sample whose mean rounds has a variance of rounding error;
-    # one whose variance underflows cannot be scaled by its std.
+    # A constant sample whose mean rounds has a variance of rounding error,
+    # so its std is set to 0; one whose variance underflows cannot be
+    # scaled by its std.
+    std = np.where(spread > 0.0, np.sqrt(var), 0.0)
     shaped = (spread > 0.0) & (var > 0.0)
     u = centered / np.where(shaped, std, 1.0)[..., None]
     u2 = u * u

@@ -187,7 +187,7 @@ def test_criterion_4_classifier_oracles():
         for _ in range(50):
             x, y, c, kernel, gamma = random_binary_problem(svm_rng)
             K = kernel_matrix(x, x, kernel, gamma)
-            alpha, bias, converged = smo_solve(K, y, c)
+            alpha, bias, converged, _ = smo_solve(K, y, c)
             assert converged
             Q = (y[:, None] * y[None, :]) * K
             _, ref_obj = projected_gradient_reference(K, y, c)

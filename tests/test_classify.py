@@ -139,6 +139,101 @@ def random_binary_problem(rng):
     return x, y, c, kernel, gamma
 
 
+def reference_smo(K, y, c, tol=1e-3, max_steps=None):
+    """The earlier solver, which recomputes the violation vector and both
+    working sets at every step; ``smo_solve`` must match it bit for bit."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if max_steps is None:
+        max_steps = 10 * n * n
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    diag = np.diag(K).copy()
+    eps = 1e-12
+    converged = False
+    m_val = M_val = 0.0
+    for _ in range(int(max_steps)):
+        yg = -y * grad
+        up = ((y > 0) & (alpha < c - eps)) | ((y < 0) & (alpha > eps))
+        low = ((y < 0) & (alpha < c - eps)) | ((y > 0) & (alpha > eps))
+        if not up.any() or not low.any():
+            converged = True
+            m_val = yg[up].max() if up.any() else 0.0
+            M_val = yg[low].min() if low.any() else m_val
+            break
+        up_idx = np.flatnonzero(up)
+        low_idx = np.flatnonzero(low)
+        i = up_idx[np.argmax(yg[up_idx])]
+        j = low_idx[np.argmin(yg[low_idx])]
+        m_val = yg[i]
+        M_val = yg[j]
+        if m_val - M_val <= tol:
+            converged = True
+            break
+        eta = max(diag[i] + diag[j] - 2.0 * K[i, j], 1e-12)
+        s = y[i] * y[j]
+        if s < 0:
+            lo = max(0.0, alpha[j] - alpha[i])
+            hi = min(c, c + alpha[j] - alpha[i])
+        else:
+            lo = max(0.0, alpha[i] + alpha[j] - c)
+            hi = min(c, alpha[i] + alpha[j])
+        a_j_new = alpha[j] + y[j] * (y[i] * grad[i] - y[j] * grad[j]) / eta
+        a_j_new = min(max(a_j_new, lo), hi)
+        d_j = a_j_new - alpha[j]
+        d_i = -s * d_j
+        if abs(d_j) < 1e-15:
+            converged = m_val - M_val <= tol
+            break
+        alpha[i] += d_i
+        alpha[j] += d_j
+        grad += (y * y[i] * K[:, i]) * d_i + (y * y[j] * K[:, j]) * d_j
+    bias = (m_val + M_val) / 2.0
+    return alpha, float(bias), converged
+
+
+def exact_match_problems():
+    """(name, K, y, c, max_steps) covering every exit of the solver."""
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 6, 10, 18, 30, 50, 90, 160, 300):
+        for kernel in ("linear", "rbf", "poly"):
+            for c in (0.1, 1.0, 10.0):
+                d = int(rng.integers(1, 6))
+                y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+                x = rng.normal(size=(n, d)) + 0.8 * y[:, None]
+                yield (f"{kernel} n={n} c={c}", kernel_matrix(x, x, kernel, 1.0 / d),
+                       y, c, None)
+    for t in range(60):
+        x, y, c, kernel, gamma = random_binary_problem(rng)
+        yield f"random {t}", kernel_matrix(x, x, kernel, gamma), y, c, None
+    for t in range(12):
+        # Every point twice, once per label: pairs of equal rows give
+        # eta = 0, which the solver clamps.
+        x = rng.normal(size=(3 + t, 2))
+        x = np.vstack([x, x])
+        y = np.repeat([1.0, -1.0], 3 + t)
+        kernel = ("linear", "rbf", "poly")[t % 3]
+        yield f"duplicates {t}", kernel_matrix(x, x, kernel, 0.5), y, 10.0, None
+    for n in (1, 2, 7):
+        # One class only: a working set is empty from the start.
+        x = rng.normal(size=(n, 2))
+        K = kernel_matrix(x, x, "rbf", 0.5)
+        yield f"all +1 n={n}", K, np.ones(n), 1.0, None
+        yield f"all -1 n={n}", K, -np.ones(n), 1.0, None
+    for steps in (1, 3):
+        for kernel in ("linear", "rbf", "poly"):
+            x, labels = make_blobs(12, [0.0, 1.0], spread=2.0, seed=steps)
+            y = np.where(np.array(labels) == "0", 1.0, -1.0)
+            yield (f"max_steps={steps} {kernel}", kernel_matrix(x, x, kernel, 1.0),
+                   y, 10.0, steps)
+    for scale in (1e8, 3e8, 1e9):
+        # Badly scaled features: the first step moves alpha by less than
+        # 1e-15, so the pair is numerically stuck.
+        x = np.array([[-1.0], [1.0], [0.5]]) * scale
+        yield (f"stuck scale={scale:g}", kernel_matrix(x, x, "linear", 1.0),
+               np.array([1.0, -1.0, -1.0]), 1.0, None)
+
+
 # ---------------------------------------------------------------------------
 # KNN
 # ---------------------------------------------------------------------------
@@ -241,6 +336,8 @@ class TestSVM:
         assert abs(pair.bias) < 1e-9
         pred = svm_predict(model, [[-3.0], [-0.2], [0.2], [3.0]])
         assert list(pred) == ["neg", "neg", "pos", "pos"]
+        # One update puts both points on the margin and closes the gap.
+        assert model.smo_steps == 1
 
     def test_xor_with_rbf(self):
         x = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
@@ -258,7 +355,7 @@ class TestSVM:
             labels = np.array(y, dtype=object)
             yy = np.where(labels == "0", 1.0, -1.0)
             K = kernel_matrix(x_arr, x_arr, kernel, 0.5)
-            alpha, bias, converged = smo_solve(K, yy, c)
+            alpha, bias, converged, _ = smo_solve(K, yy, c)
             assert converged
             assert abs(float(alpha @ yy)) < 1e-6
             assert np.all(alpha >= -1e-12) and np.all(alpha <= c + 1e-12)
@@ -267,7 +364,7 @@ class TestSVM:
         x = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
         y = np.array([1.0, 1.0, -1.0, -1.0])
         K = kernel_matrix(x, x, "rbf", 1.0)
-        alpha, bias, _ = smo_solve(K, y, 10.0)
+        alpha, bias, _, _ = smo_solve(K, y, 10.0)
         assert kkt_residual(alpha, K, y, 10.0, bias) < 1e-3
         Q = (y[:, None] * y[None, :]) * K
         _, ref_obj = projected_gradient_reference(K, y, 10.0)
@@ -279,7 +376,7 @@ class TestSVM:
         for _ in range(10):
             x, y, c, kernel, gamma = random_binary_problem(rng)
             K = kernel_matrix(x, x, kernel, gamma)
-            alpha, bias, converged = smo_solve(K, y, c)
+            alpha, bias, converged, _ = smo_solve(K, y, c)
             assert converged
             Q = (y[:, None] * y[None, :]) * K
             _, ref_obj = projected_gradient_reference(K, y, c)
@@ -287,6 +384,66 @@ class TestSVM:
             assert obj >= ref_obj - 1e-3
             assert abs(obj - ref_obj) <= 1e-3
             assert kkt_residual(alpha, K, y, c, bias) < 1e-3
+
+    def test_matches_reference_exactly(self):
+        for name, K, y, c, max_steps in exact_match_problems():
+            alpha, bias, converged, _ = smo_solve(K, y, c, max_steps=max_steps)
+            ref_alpha, ref_bias, ref_converged = reference_smo(
+                K, y, c, max_steps=max_steps)
+            assert np.array_equal(alpha, ref_alpha), name
+            assert bias == ref_bias, name
+            assert converged == ref_converged, name
+
+    def test_exits_and_step_counts(self):
+        x = np.array([[-1.0], [1.0], [0.5]])
+        y = np.array([1.0, -1.0, -1.0])
+        # One class: a working set is empty before any update.
+        *_, converged, steps = smo_solve(kernel_matrix(x, x, "rbf", 1.0),
+                                         np.ones(3), 1.0)
+        assert converged and steps == 0
+        # A step of alpha below 1e-15 is numerically stuck.
+        big = x * 1e8
+        alpha, _, converged, steps = smo_solve(
+            kernel_matrix(big, big, "linear", 1.0), y, 1.0)
+        assert not converged and steps == 0
+        np.testing.assert_array_equal(alpha, 0.0)
+        K = kernel_matrix(x, x, "linear", 1.0)
+        for cap in (1, 2):
+            *_, converged, steps = smo_solve(K, y, 10.0, max_steps=cap)
+            assert steps == cap and not converged
+        *_, converged, steps = smo_solve(K, y, 10.0)
+        assert converged and steps > 2
+
+    def test_no_square_temporaries(self):
+        n = 300
+        rng = np.random.default_rng(5)
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        x = rng.normal(size=(n, 3)) + 0.8 * y[:, None]
+        K = kernel_matrix(x, x, "rbf", 1.0 / 3)
+        tracemalloc.start()
+        try:
+            smo_solve(K, y, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A copy of K is 720 kB and a boolean mask of its entries 90 kB;
+        # the solver's own arrays are a few kB each.
+        assert peak < K.nbytes // 10
+
+    @pytest.mark.parametrize("K,y,c", [
+        (np.eye(3)[:, :2], [1.0, -1.0, 1.0], 1.0),
+        (np.eye(3), [1.0, -1.0], 1.0),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), [1.0, -1.0], 1.0),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), [1.0, -1.0], 1.0),
+        (np.eye(3), [1.0, 0.0, -1.0], 1.0),
+        (np.eye(2), [1.0, -0.5], 1.0),
+        (np.eye(2), [1.0, -1.0], 0.0),
+        (np.eye(2), [1.0, -1.0], np.inf),
+    ], ids=["not-square", "size-mismatch", "nan-kernel", "inf-kernel",
+            "zero-label", "fractional-label", "zero-c", "infinite-c"])
+    def test_invalid_inputs_rejected(self, K, y, c):
+        with pytest.raises(ValueError):
+            smo_solve(K, np.asarray(y), c)
 
     def test_multiclass_one_vs_one(self):
         x, y = make_blobs(10, [[0, 0], [4, 0], [0, 4]], seed=5)
@@ -303,6 +460,7 @@ class TestSVM:
         model = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"), max_steps=1)
         assert not model.converged
         assert model.warnings
+        assert model.smo_steps == 1
         # Still usable for prediction.
         assert len(svm_predict(model, x)) == len(y)
 

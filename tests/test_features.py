@@ -150,7 +150,7 @@ class TestExtractUnivariate:
         cfg = GeoStatConfig(num_windows=2, smoothing_iterations=0, min_samples=3)
         row, labels = extract_univariate(us, cfg)
         by_label = dict(zip(labels, row))
-        for stat in ("range", "skew", "kurtosis"):
+        for stat in ("range", "std", "skew", "kurtosis"):
             assert by_label[("position", 1, stat)] == 0.0
         assert by_label[("position", 1, "q0.5")] == 0.1
 
@@ -299,6 +299,21 @@ class TestZNormalize:
         fm = self.make_matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         out, _, _, _ = z_normalize(fm)
         np.testing.assert_array_equal(out.rows[:, 1], 0.0)
+
+    def test_flat_window_std_column_maps_to_zero(self):
+        # Each series ends in a flat window whose mean may round; its std
+        # is exactly 0 in every row, so the column carries no signal.
+        series = [UniformSeries(0.0, 1.0, np.concatenate(
+            [np.sin(np.arange(50.0) * f), np.full(50, v)]))
+            for f, v in [(0.3, 0.1), (0.5, 0.7), (0.7, 1.1), (0.9, 0.3)]]
+        cfg = GeoStatConfig(num_windows=2, smoothing_iterations=0,
+                            min_samples=3)
+        fm = univariate_matrix(series, ["a", "b", "a", "b"], cfg)
+        col = fm.column_labels.index(("position", 1, "std"))
+        np.testing.assert_array_equal(fm.rows[:, col], 0.0)
+        out, _, _, stds = z_normalize(fm)
+        assert stds[col] == 0.0
+        np.testing.assert_array_equal(out.rows[:, col], 0.0)
 
     def test_test_row_at_train_mean_is_zero(self):
         train = self.make_matrix([[0.0, 2.0], [2.0, 6.0]])

@@ -120,6 +120,14 @@ class TestSummarize:
         assert vec[0] == 0.0
         assert vec[3] == 0.0 and vec[4] == 0.0
 
+    def test_constant_sample_std_is_zero(self):
+        # The means of these constants round, so their centered values are
+        # rounding noise of about 1e-17, not zeros.
+        batch = np.array([[0.1] * 7, [0.7] * 7, [1.1] * 7])
+        cfg = SummaryConfig(quantiles=())
+        assert summarize([0.1, 0.1, 0.1], cfg)[2] == 0.0
+        np.testing.assert_array_equal(summarize(batch, cfg)[:, 2], 0.0)
+
     @pytest.mark.parametrize("samples", [
         [1e200, -1e200, 3e200],
         [[1.0, 2.0, 3.0], [1e200, -1e200, 3e200]],
