@@ -229,6 +229,11 @@ def resolve_gamma(params: SVMParams, train: np.ndarray) -> float:
     return 1.0 / (train.shape[1] * var)
 
 
+def _step_cap(n: int, max_steps) -> int:
+    """Pair updates allowed for a binary problem of ``n`` points."""
+    return 10 * n * n if max_steps is None else int(max_steps)
+
+
 def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
               max_steps=None):
     """Solve the binary soft-margin dual by sequential minimal optimization.
@@ -269,7 +274,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
         raise ValueError("labels must be +1 or -1")
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    max_steps = 10 * n * n if max_steps is None else int(max_steps)
+    max_steps = _step_cap(n, max_steps)
     eps = 1e-12
     top = c - eps
     signs = y.tolist()
@@ -365,8 +370,9 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
     """Train one-vs-one soft-margin SVMs over all class pairs.
 
     The smaller class identifier of each pair takes the +1 side. If a binary
-    problem hits its pair-update cap before the violation gap closes, the
-    model carries a convergence warning in its metadata instead of failing.
+    problem stops before the violation gap closes, because it hit its
+    pair-update cap or took a step too small to move alpha, the model
+    carries a warning saying which in its metadata instead of failing.
     """
     pts = np.asarray(points, dtype=float)
     labels = np.array([str(v) for v in labels], dtype=object)
@@ -385,12 +391,16 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
             sub = pts[mask]
             y = np.where(labels[mask] == pos, 1.0, -1.0)
             K = kernel_matrix(sub, sub, params.kernel, gamma)
+            cap = _step_cap(y.size, max_steps)
             alpha, bias, ok, steps = smo_solve(K, y, params.c, tol=tol,
-                                               max_steps=max_steps)
+                                               max_steps=cap)
             smo_steps += steps
             if not ok:
                 all_converged = False
-                notes.append(f"pair ({pos}, {neg}) hit the iteration cap")
+                notes.append(f"pair ({pos}, {neg}) hit the iteration cap"
+                             if steps >= cap else
+                             f"pair ({pos}, {neg}) stopped on a numerically "
+                             f"stuck step before the gap closed")
             sv = alpha > 1e-12
             pairs.append(_BinarySVM(pos, neg, sub[sv], alpha[sv] * y[sv],
                                     bias))

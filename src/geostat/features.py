@@ -21,7 +21,6 @@ import numpy as np
 from .geometry import build_stack, univariate_signals
 from .series import UniformSeries
 from .stats import (
-    MULTIVARIATE_QUANTILES,
     SphericalSample,
     SummaryConfig,
     frechet_mean_variance,
@@ -244,10 +243,6 @@ def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
             values.extend(vec.tolist())
             labels.extend((name, w, s) for s in stat_names)
     return np.array(values), labels
-
-
-def multivariate_summary_config() -> SummaryConfig:
-    return SummaryConfig(quantiles=MULTIVARIATE_QUANTILES)
 
 
 def _univariate_block(values: np.ndarray, step: float, bounds: list,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .features import FeatureMatrix, FRECHET_STATISTICS, GeoStatConfig
 from .geometry import build_stack
-from .series import TimeSeries, UniformSeries, laplacian_smooth, resample_uniform
+from .series import TimeSeries, UniformSeries, resample_uniform
 from .stats import SphericalSample, frechet_mean_variance, summarize
 
 __all__ = [
@@ -336,39 +336,30 @@ def segment_vessel(track: VesselTrack) -> SegmentSet:
     duration. Inside a contiguous run, each inter-sample interval is active
     or inactive according to the speed reported at its left endpoint;
     maximal stretches of same-state intervals become segments, consecutive
-    segments sharing their boundary sample. Inactive segments contribute
-    only their duration (last minus first timestamp); active segments with
-    fewer than ``MIN_SEGMENT_POINTS`` timestamps are dropped, with their spans
+    segments sharing their boundary sample; a run of one sample yields
+    nothing. Cuts and state edges are found by array scans, and only the
+    segments are visited one by one. Inactive segments contribute only their
+    duration (last minus first timestamp); active segments with fewer than
+    ``MIN_SEGMENT_POINTS`` moving samples are dropped, with their spans
     recorded separately so that spans, durations, gaps, and dropped spans
     add up to the track span exactly.
     """
     if track.n_samples < 2:
         return SegmentSet((), (), (), (), 0.0)
     dts = np.diff(track.timestamps)
-    gaps = []
-    runs = []
-    start = 0
-    for i, dt in enumerate(dts):
-        if dt >= GAP_THRESHOLD_SECONDS:
-            gaps.append(float(dt))
-            runs.append((start, i))
-            start = i + 1
-    runs.append((start, track.n_samples - 1))
+    cuts = np.flatnonzero(dts >= GAP_THRESHOLD_SECONDS)
+    run_starts = [0] + (cuts + 1).tolist()
+    run_ends = cuts.tolist() + [track.n_samples - 1]
 
     active = []
     inactive = []
     dropped = []
-    for lo, hi in runs:
+    for lo, hi in zip(run_starts, run_ends):
         if hi <= lo:
             continue  # single-sample run spans no time
         states = track.speeds[lo:hi] >= ACTIVE_SPEED_KNOTS  # one per interval
-        edges = [lo]
-        for i in range(1, hi - lo):
-            if states[i] != states[i - 1]:
-                edges.append(lo + i)
-        edges.append(hi)
-        for k in range(len(edges) - 1):
-            seg_lo, seg_hi = edges[k], edges[k + 1]  # shared boundary samples
+        edges = [lo, *(lo + 1 + np.flatnonzero(np.diff(states))).tolist(), hi]
+        for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):  # shared boundaries
             span = float(track.timestamps[seg_hi] - track.timestamps[seg_lo])
             if not states[seg_lo - lo]:
                 inactive.append(span)
@@ -387,7 +378,7 @@ def segment_vessel(track: VesselTrack) -> SegmentSet:
                     lons=track.lons[sl],
                     shore_distances=track.shore_distances[sl],
                     port_distances=track.port_distances[sl]))
-    return SegmentSet(tuple(active), tuple(inactive), tuple(gaps),
+    return SegmentSet(tuple(active), tuple(inactive), tuple(dts[cuts].tolist()),
                       tuple(dropped), track.span)
 
 
@@ -412,7 +403,20 @@ def filter_labels(tracks) -> list:
 
 
 def _segment_window_means(segment: ActiveSegment):
-    """Ten-minute window averages of the derived quantities of one segment."""
+    """Ten-minute window means of the eight signals of one active segment.
+
+    The segment is resampled onto a uniform grid, and each signal is
+    computed once over the whole grid: smoothed latitude and longitude,
+    speed, speed derivative, curvature, raw curvature (of the smoothed
+    positions, with no further smoothing), shore distance and port
+    distance. Samples fall into consecutive ``VESSEL_WINDOW_SECONDS``
+    windows from the segment start, the last of which may be partial.
+    Window indices never decrease along the grid, so each window is a
+    contiguous slice and is read once.
+
+    Returns an ``(8, windows)`` array with rows in that order, or ``None``
+    when the segment spans no time.
+    """
     # Deduplicate repeated timestamps so interpolation is well defined.
     t, keep = np.unique(segment.timestamps, return_index=True)
     if t.size < 2 or t[-1] - t[0] <= 0:
@@ -427,88 +431,57 @@ def _segment_window_means(segment: ActiveSegment):
     m = max(ts.n_samples, int(np.ceil(duration / VESSEL_WINDOW_SECONDS)) + 1, 4)
     us_all = resample_uniform(ts, min_samples=m)
     pos = UniformSeries(us_all.start_time, us_all.step, us_all.values[:, :2])
-    shore = us_all.values[:, 2]
-    port = us_all.values[:, 3]
 
     smooth = build_stack(pos, VESSEL_SMOOTHING_ITERATIONS)
-    presmoothed = laplacian_smooth(pos, VESSEL_SMOOTHING_ITERATIONS)
-    raw_derivs = build_stack(presmoothed, 0)
+    raw = build_stack(smooth.base, 0)
+    # One C-contiguous row per signal: a row mean then sums pairwise over a
+    # contiguous axis, exactly as a mean over a 1-d copy of the window does.
+    signals = np.vstack([smooth.base.values.T, smooth.speed, smooth.speed_deriv,
+                         smooth.curvature, raw.curvature,
+                         us_all.values[:, 2:].T])
 
     rel = us_all.step * np.arange(us_all.n_samples)
     window_idx = np.minimum((rel / VESSEL_WINDOW_SECONDS).astype(int),
                             max(int(duration // VESSEL_WINDOW_SECONDS), 0))
-
-    def window_means(arr):
-        arr = np.asarray(arr, dtype=float)
-        return np.array([arr[window_idx == w].mean()
-                         for w in range(window_idx.max() + 1)])
-
-    return {
-        "lat": window_means(smooth.base.values[:, 0]),
-        "lon": window_means(smooth.base.values[:, 1]),
-        "speed": window_means(smooth.speed),
-        "speed_derivative": window_means(smooth.speed_deriv),
-        "curvature": window_means(smooth.curvature),
-        "curvature_raw": window_means(raw_derivs.curvature),
-        "shore_distance": window_means(shore),
-        "port_distance": window_means(port),
-    }
+    windows = np.split(signals, np.flatnonzero(np.diff(window_idx)) + 1, axis=1)
+    return np.stack([w.mean(axis=1) for w in windows], axis=1)
 
 
 def vessel_features(seg: SegmentSet, cfg: GeoStatConfig):
     """Feature row of one segmented vessel track.
 
-    Pools the window-averaged derived quantities of all active segments into
-    per-quantity distributions, summarizes each, and appends summaries of
-    the activity/inactivity/gap duration distributions. Distributions that
-    are empty for this track (no active segments, no gaps, ...) produce
-    all-zero summaries so every track yields the same feature schema.
+    Pools the window means of all active segments into one distribution per
+    signal, summarizes each, and appends summaries of the activity,
+    inactivity and gap duration distributions, in ``VESSEL_DISTRIBUTIONS``
+    order; position is summarized by its Frechet mean and variance.
+    Distributions that are empty for this track (no active segments, no
+    gaps, ...) produce all-zero summaries so every track yields the same
+    feature schema.
 
     Returns ``(values, column_labels)``.
     """
-    pools = {name: [] for name in
-             ("lat", "lon", "speed", "speed_derivative", "curvature",
-              "curvature_raw", "shore_distance", "port_distance")}
-    for segment in seg.active:
-        means = _segment_window_means(segment)
-        if means is None:
-            continue
-        for name, arr in means.items():
-            pools[name].append(arr)
-    pooled = {name: (np.concatenate(vals) if vals else np.array([]))
-              for name, vals in pools.items()}
-    durations = {
-        "active_duration": np.array([s.span for s in seg.active]),
-        "inactive_duration": np.array(seg.inactive_durations),
-        "gap_duration": np.array(seg.gap_durations),
-    }
+    means = [w for w in map(_segment_window_means, seg.active) if w is not None]
+    lat, lon, *pooled = np.hstack(means) if means else np.empty((8, 0))
+    durations = ([s.span for s in seg.active], seg.inactive_durations,
+                 seg.gap_durations)
+
+    if lat.size:
+        (m_lat, m_lon), var = frechet_mean_variance(SphericalSample(
+            np.radians(lat), np.radians(lon)))
+        values = [np.degrees(m_lat), np.degrees(m_lon), var]
+    else:
+        values = [0.0, 0.0, 0.0]
+    labels = [(VESSEL_DISTRIBUTIONS[0], 0, s) for s in FRECHET_STATISTICS]
 
     stat_names = cfg.summary.statistic_names
-    values = []
-    labels = []
-
-    if pooled["lat"].size:
-        (m_lat, m_lon), var = frechet_mean_variance(SphericalSample(
-            np.radians(pooled["lat"]), np.radians(pooled["lon"])))
-        frech = [np.degrees(m_lat), np.degrees(m_lon), var]
-    else:
-        frech = [0.0, 0.0, 0.0]
-    values.extend(frech)
-    labels.extend(("position", 0, s) for s in FRECHET_STATISTICS)
-
-    def add_scalar(name, samples):
+    for name, samples in zip(VESSEL_DISTRIBUTIONS[1:],
+                             pooled + [np.array(d) for d in durations],
+                             strict=True):
         if samples.size:
-            vec = summarize(samples, cfg.summary).tolist()
+            values.extend(summarize(samples, cfg.summary).tolist())
         else:
-            vec = [0.0] * len(stat_names)
-        values.extend(vec)
+            values.extend([0.0] * len(stat_names))
         labels.extend((name, 0, s) for s in stat_names)
-
-    for name in ("speed", "speed_derivative", "curvature", "curvature_raw",
-                 "shore_distance", "port_distance"):
-        add_scalar(name, pooled[name])
-    for name in ("active_duration", "inactive_duration", "gap_duration"):
-        add_scalar(name, durations[name])
     return np.array(values), labels
 
 

@@ -67,6 +67,25 @@ def dual_objective(alpha, Q):
 
 
 def project_box_hyperplane(v, y, c):
+    """Project onto {0 <= a <= c, sum(a * y) = 0} by breakpoint search.
+
+    The residual ``r(nu) = y @ clip(v - nu * y, 0, c)`` is nonincreasing and
+    piecewise linear in nu, with kinks where an entry meets 0 or c. It is
+    evaluated at all sorted kinks at once, and its root is interpolated on
+    the first piece where it stops being positive. At the last kink every
+    entry is clipped, so r there is ``-c * #(y < 0) <= 0``.
+    """
+    knots = np.sort(np.concatenate([v * y, (v - c) * y]))
+    r = np.clip(v - knots[:, None] * y, 0.0, c) @ y
+    k = int(np.argmax(r <= 0))
+    nu = knots[0]
+    if k > 0:
+        lo, hi = knots[k - 1], knots[k]
+        nu = lo + r[k - 1] * (hi - lo) / (r[k - 1] - r[k])
+    return np.clip(v - nu * y, 0.0, c)
+
+
+def project_box_hyperplane_bisection(v, y, c):
     """Project onto {0 <= a <= c, sum(a * y) = 0} by bisection."""
     def residual(nu):
         return float(y @ np.clip(v - nu * y, 0.0, c))
@@ -237,6 +256,20 @@ def exact_match_problems():
 # ---------------------------------------------------------------------------
 # KNN
 # ---------------------------------------------------------------------------
+
+def test_projection_matches_bisection():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        y = rng.choice([-1.0, 1.0], n)
+        c = float(rng.choice([0.1, 1.0, 10.0, 100.0]))
+        v = rng.normal(0.0, rng.choice([0.1, 1.0, 30.0]), n)
+        got = project_box_hyperplane(v, y, c)
+        np.testing.assert_allclose(
+            got, project_box_hyperplane_bisection(v, y, c),
+            rtol=0, atol=1e-12 * c)
+        assert np.all((got >= 0.0) & (got <= c))
+
 
 class TestKNN:
     def test_training_points_self_predict(self):
@@ -463,6 +496,19 @@ class TestSVM:
         assert model.smo_steps == 1
         # Still usable for prediction.
         assert len(svm_predict(model, x)) == len(y)
+
+    def test_stuck_pair_is_not_reported_as_cap(self):
+        # The first step moves alpha by less than 1e-15, far below the cap.
+        model = svm_fit([[-1e8], [1e8], [0.5e8]], ["a", "b", "b"],
+                        SVMParams(c=1.0, kernel="linear"))
+        assert not model.converged
+        assert model.smo_steps == 0
+        assert model.warnings == (
+            "pair (a, b) stopped on a numerically stuck step before the gap "
+            "closed",)
+        x, y = make_blobs(20, [0.0, 1.0], spread=2.0, seed=14)
+        capped = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"), max_steps=1)
+        assert capped.warnings == ("pair (0, 1) hit the iteration cap",)
 
 
 # ---------------------------------------------------------------------------

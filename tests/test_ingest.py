@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import make_track, write_ucr_dataset
+from geostat import ingest
 from geostat.features import GeoStatConfig
+from geostat.geometry import build_stack
 from geostat.ingest import (
+    ACTIVE_SPEED_KNOTS,
+    GAP_THRESHOLD_SECONDS,
+    MIN_SEGMENT_POINTS,
     VESSEL_DISTRIBUTIONS,
+    VESSEL_SMOOTHING_ITERATIONS,
+    VESSEL_WINDOW_SECONDS,
+    ActiveSegment,
+    SegmentSet,
     VesselTrack,
     binary_fishing_labels,
     filter_labels,
@@ -15,11 +24,201 @@ from geostat.ingest import (
     vessel_feature_matrix,
     vessel_features,
 )
+from geostat.series import (
+    TimeSeries,
+    UniformSeries,
+    laplacian_smooth,
+    resample_uniform,
+)
 from geostat.stats import MULTIVARIATE_QUANTILES, SummaryConfig
 
 
 def vessel_cfg():
     return GeoStatConfig(summary=SummaryConfig(quantiles=MULTIVARIATE_QUANTILES))
+
+
+# ---------------------------------------------------------------------------
+# loop-form references for the array-shaped vessel path
+# ---------------------------------------------------------------------------
+
+def reference_segment_vessel(track):
+    """Per-sample loops over gap cuts and state changes."""
+    if track.n_samples < 2:
+        return SegmentSet((), (), (), (), 0.0)
+    dts = np.diff(track.timestamps)
+    gaps = []
+    runs = []
+    start = 0
+    for i, dt in enumerate(dts):
+        if dt >= GAP_THRESHOLD_SECONDS:
+            gaps.append(float(dt))
+            runs.append((start, i))
+            start = i + 1
+    runs.append((start, track.n_samples - 1))
+
+    active = []
+    inactive = []
+    dropped = []
+    for lo, hi in runs:
+        if hi <= lo:
+            continue
+        states = track.speeds[lo:hi] >= ACTIVE_SPEED_KNOTS
+        edges = [lo]
+        for i in range(1, hi - lo):
+            if states[i] != states[i - 1]:
+                edges.append(lo + i)
+        edges.append(hi)
+        for k in range(len(edges) - 1):
+            seg_lo, seg_hi = edges[k], edges[k + 1]
+            span = float(track.timestamps[seg_hi] - track.timestamps[seg_lo])
+            if not states[seg_lo - lo]:
+                inactive.append(span)
+                continue
+            moving = int(np.sum(
+                track.speeds[seg_lo:seg_hi + 1] >= ACTIVE_SPEED_KNOTS))
+            if moving < MIN_SEGMENT_POINTS:
+                dropped.append(span)
+            else:
+                sl = slice(seg_lo, seg_hi + 1)
+                active.append(ActiveSegment(
+                    timestamps=track.timestamps[sl],
+                    lats=track.lats[sl],
+                    lons=track.lons[sl],
+                    shore_distances=track.shore_distances[sl],
+                    port_distances=track.port_distances[sl]))
+    return SegmentSet(tuple(active), tuple(inactive), tuple(gaps),
+                      tuple(dropped), track.span)
+
+
+def reference_window_means(segment):
+    """One boolean mask and one 1-d mean per window and signal."""
+    t, keep = np.unique(segment.timestamps, return_index=True)
+    if t.size < 2 or t[-1] - t[0] <= 0:
+        return None
+    channels = np.column_stack([
+        segment.lats[keep], segment.lons[keep],
+        segment.shore_distances[keep], segment.port_distances[keep]])
+    ts = TimeSeries(t, channels)
+    duration = ts.duration
+    m = max(ts.n_samples, int(np.ceil(duration / VESSEL_WINDOW_SECONDS)) + 1, 4)
+    us_all = resample_uniform(ts, min_samples=m)
+    pos = UniformSeries(us_all.start_time, us_all.step, us_all.values[:, :2])
+    smooth = build_stack(pos, VESSEL_SMOOTHING_ITERATIONS)
+    raw = build_stack(laplacian_smooth(pos, VESSEL_SMOOTHING_ITERATIONS), 0)
+
+    rel = us_all.step * np.arange(us_all.n_samples)
+    window_idx = np.minimum((rel / VESSEL_WINDOW_SECONDS).astype(int),
+                            max(int(duration // VESSEL_WINDOW_SECONDS), 0))
+
+    def window_means(arr):
+        arr = np.asarray(arr, dtype=float)
+        return np.array([arr[window_idx == w].mean()
+                         for w in range(window_idx.max() + 1)])
+
+    return np.array([window_means(x) for x in (
+        smooth.base.values[:, 0], smooth.base.values[:, 1], smooth.speed,
+        smooth.speed_deriv, smooth.curvature, raw.curvature,
+        us_all.values[:, 2], us_all.values[:, 3])])
+
+
+def assert_same_segments(got, want):
+    assert got.inactive_durations == want.inactive_durations
+    assert got.gap_durations == want.gap_durations
+    assert got.dropped_spans == want.dropped_spans
+    assert got.total_span == want.total_span
+    assert len(got.active) == len(want.active)
+    for a, b in zip(got.active, want.active):
+        for name in ("timestamps", "lats", "lons", "shore_distances",
+                     "port_distances"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def track_from(t, speeds, seed=0):
+    """A track on timestamps ``t`` with random positions and distances."""
+    rng = np.random.default_rng(seed)
+    n = len(t)
+    return VesselTrack("v", "x", np.asarray(t, dtype=float),
+                       10.0 + np.cumsum(rng.normal(0, 0.01, n)),
+                       20.0 + np.cumsum(rng.normal(0, 0.01, n)),
+                       np.asarray(speeds, dtype=float),
+                       rng.uniform(0, 5e4, n), rng.uniform(0, 1e5, n))
+
+
+def random_track(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    dts = rng.choice([0.0, 60.0, 300.0, 600.0, 1800.0, 5399.0, 5400.0, 9000.0],
+                     size=n - 1, p=[.05, .25, .3, .15, .1, .05, .05, .05])
+    t = 1.6e9 + np.concatenate([[0.0], np.cumsum(dts)])
+    speeds = rng.choice([0.0, 0.39, 0.4, 3.0, 9.0], size=n)
+    return track_from(t, speeds, seed)
+
+
+def moving_segment(t, seed=0):
+    tr = track_from(t, np.full(len(t), 5.0), seed)
+    return ActiveSegment(tr.timestamps, tr.lats, tr.lons,
+                         tr.shore_distances, tr.port_distances)
+
+
+SEGMENT_CASES = {
+    "repeated-timestamps": [0.0, 300.0, 300.0, 600.0, 600.0, 900.0, 1500.0],
+    "exact-multiple-of-window": 300.0 * np.arange(9),  # 2400 s, 4 windows
+    "shorter-than-window": [0.0, 100.0, 250.0, 400.0],
+    "partial-last-window": 270.0 * np.arange(12),  # 2970 s: 4 full + 570 s
+    "one-long-step": [0.0, 60.0, 120.0, 4000.0],
+    "all-same-time": [5.0, 5.0, 5.0, 5.0],
+}
+
+
+class TestArrayVesselPath:
+    @pytest.mark.parametrize("t", list(SEGMENT_CASES.values()),
+                             ids=list(SEGMENT_CASES))
+    def test_window_means_match_masked_reference(self, t):
+        seg = moving_segment(t, seed=len(t))
+        got = ingest._segment_window_means(seg)
+        want = reference_window_means(seg)
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case, windows", [
+        ("shorter-than-window", 1),
+        ("partial-last-window", 5),
+        # The final sample, at exactly 2400 s, is a window of its own.
+        ("exact-multiple-of-window", 5),
+    ])
+    def test_window_count(self, case, windows):
+        seg = moving_segment(SEGMENT_CASES[case])
+        assert ingest._segment_window_means(seg).shape == (8, windows)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tracks_match_references(self, seed):
+        track = random_track(seed)
+        seg = segment_vessel(track)
+        assert_same_segments(seg, reference_segment_vessel(track))
+        for active in seg.active:
+            got = ingest._segment_window_means(active)
+            want = reference_window_means(active)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t, speeds", [
+        ([0.0, 5400.0, 5700.0, 6000.0, 6300.0, 6600.0], [5.0] * 6),
+        ([0.0, 5400.0, 10800.0, 16200.0], [5.0, 0.1, 5.0, 0.1]),
+        ([0.0, 300.0, 6000.0, 12000.0, 12300.0], [0.1, 5.0, 5.0, 0.1, 5.0]),
+        ([0.0, 300.0, 600.0, 900.0, 1200.0], [0.1] * 5),
+        ([0.0, 0.0, 300.0, 300.0, 600.0, 900.0], [5.0, 0.1, 5.0, 5.0, 5.0, 5.0]),
+        ([0.0, 300.0, 600.0, 900.0, 1200.0, 1500.0],
+         [5.0, 0.1, 5.0, 0.1, 5.0, 0.1]),
+    ], ids=["gap-exactly-5400", "every-step-a-gap", "single-sample-runs",
+            "all-slow", "repeated-timestamps", "alternating-states"])
+    def test_segments_match_loop_reference(self, t, speeds):
+        track = track_from(t, speeds)
+        assert_same_segments(segment_vessel(track),
+                             reference_segment_vessel(track))
 
 
 class TestParseUCR:
