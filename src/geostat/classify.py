@@ -10,11 +10,16 @@ deterministic.
 
 The harnesses (stratified k-fold splitting, grid search, nested
 cross-validation) derive every random stream from an explicit seed, making
-runs bit-reproducible regardless of scheduling.
+runs bit-reproducible regardless of scheduling. Grid search works fold by
+fold: each KNN fold sorts its neighbours once per Minkowski p for all
+(k, weights) points, and every binary SVM problem of the search is solved
+in one lockstep batch, with the same results as fitting each grid point on
+its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -58,6 +63,10 @@ POLY_COEF0 = 1.0
 # 8 MB of float64.
 KNN_BLOCK_ENTRIES = 1 << 20
 
+# Binary SVM problems are solved in lockstep over stacks of zero-padded
+# kernel matrices holding at most this many entries, 8 MB of float64.
+SMO_BLOCK_ENTRIES = 1 << 20
+
 
 def _class_sort_key(label: str):
     try:
@@ -97,8 +106,8 @@ class SVMParams:
     def __post_init__(self):
         if self.kernel not in SVM_KERNEL_CHOICES:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c!r}")
 
     def tag(self) -> str:
         return f"svm(C={self.c:g},kernel={self.kernel})"
@@ -163,6 +172,41 @@ def _minkowski(queries: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _knn_votes(dist, order, train_class, n_classes, points) -> dict:
+    """Winning class index of every query for each ``(k, weights)`` point.
+
+    ``order`` ranks each query's training rows by distance with a stable
+    sort, so zero distances come first and equal distances keep training
+    order. Votes are added rank by rank for all queries at once, in the
+    order the per-row loop added them, and read off at each wanted k.
+    Distance weighting uses weight 1/d; a query at distance zero from a
+    training row takes the uniform vote of the zero-distance rows alone.
+    Vote ties go to the first class, the smallest identifier.
+    """
+    rows = np.arange(dist.shape[0])
+    counts = np.zeros((dist.shape[0], n_classes))
+    zero_counts = np.zeros_like(counts)
+    inverse = np.zeros_like(counts)
+    at_zero = (dist[rows, order[:, 0]] == 0.0)[:, None]
+    wanted = {}
+    for k, weights in points:
+        wanted.setdefault(k, set()).add(weights)
+    out = {}
+    for rank in range(max(wanted)):
+        col = order[:, rank]
+        cls = train_class[col]
+        d = dist[rows, col]
+        counts[rows, cls] += 1.0
+        zero_counts[rows, cls] += d == 0.0
+        with np.errstate(divide="ignore"):
+            inverse[rows, cls] += 1.0 / d
+        for weights in wanted.get(rank + 1, ()):
+            votes = (counts if weights == "uniform"
+                     else np.where(at_zero, zero_counts, inverse))
+            out[(rank + 1, weights)] = votes.argmax(axis=1)
+    return out
+
+
 def knn_predict(model: KNNModel, queries) -> np.ndarray:
     """Predict labels by majority vote over the nearest training rows.
 
@@ -179,26 +223,13 @@ def knn_predict(model: KNNModel, queries) -> np.ndarray:
             f"query dimension {q.shape[1]} does not match training "
             f"dimension {model.points.shape[1]}")
     dist = _minkowski(q, model.points, model.params.p)
-    k = model.params.n_neighbors
+    order = np.argsort(dist, axis=1, kind="stable")
     class_index = {c: i for i, c in enumerate(model.classes)}
-    train_idx = np.array([class_index[l] for l in model.labels])
-    out = []
-    for row in dist:
-        order = np.argsort(row, kind="stable")[:k]
-        votes = np.zeros(len(model.classes))
-        if model.params.weights == "uniform":
-            for j in order:
-                votes[train_idx[j]] += 1.0
-        else:
-            zero = [j for j in order if row[j] == 0.0]
-            if zero:
-                for j in zero:
-                    votes[train_idx[j]] += 1.0
-            else:
-                for j in order:
-                    votes[train_idx[j]] += 1.0 / row[j]
-        out.append(model.classes[int(np.argmax(votes))])
-    return np.array(out, dtype=object)
+    train_class = np.array([class_index[l] for l in model.labels])
+    point = (model.params.n_neighbors, model.params.weights)
+    winners = _knn_votes(dist, order, train_class, len(model.classes),
+                         [point])[point]
+    return np.array(model.classes, dtype=object)[winners]
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +275,11 @@ def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
     stops once the violation gap falls below ``tol``.
 
     ``y`` is a nonempty 1-d array of labels that are exactly +1 or -1, and
-    ``K`` a finite ``(n, n)`` kernel matrix with ``n = y.size``. The
-    violation vector ``-y * grad`` and the working sets are kept across
-    steps and only the two updated entries change, so a step costs a few
-    O(n) array operations and no n x n temporary.
+    ``K`` a finite ``(n, n)`` kernel matrix with ``n = y.size``. This is the
+    one-problem case of the lockstep solver that fits use: the violation
+    vector ``-y * grad`` and the working sets are kept across steps and only
+    the two updated entries change, so a step costs a few O(n) array
+    operations, and ``K`` is read in place, without an n x n temporary.
 
     Returns ``(alpha, bias, converged, steps)`` where ``bias`` completes the
     decision function ``f(x) = sum alpha_i y_i K(x_i, x) + bias``,
@@ -267,76 +299,193 @@ def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
     if y.ndim != 1 or n == 0 or K.shape != (n, n):
         raise ValueError(f"need a nonempty 1-d y and an (n, n) kernel matrix; "
                          f"got y of shape {y.shape} and K of shape {K.shape}")
-    # max and min propagate NaN and reach any infinity without an n x n mask.
-    if not (math.isfinite(K.max()) and math.isfinite(K.min())):
-        raise ValueError("kernel matrix must be finite")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be +1 or -1")
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    max_steps = _step_cap(n, max_steps)
-    eps = 1e-12
-    top = c - eps
-    signs = y.tolist()
-    alpha = [0.0] * n
-    # yg = -y * grad, with grad = Q alpha - 1 the gradient of the
-    # minimization form. Since every y is +1 or -1, updating yg in place
-    # rounds exactly as updating grad and negating would.
-    yg = y.copy()
-    # Working sets: alpha_k can still move up (along y_k) or down. At
-    # alpha = 0 only the lower bound is active.
-    up = (y > 0) & (0.0 < top)
-    low = (y < 0) & (0.0 < top)
+    (result,) = _smo_lockstep([(n, lambda: K)],
+                              [(0, y, c, _step_cap(n, max_steps))], tol)
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
-    converged = False
-    m_val = M_val = 0.0
-    steps = 0
-    while steps < max_steps:
+
+def _smo_lockstep(kernels, problems, tol: float) -> list:
+    """Solve many binary duals in lockstep, in blocks of padded kernels.
+
+    ``kernels`` holds ``(n, make)`` pairs, where ``make()`` returns an
+    ``(n, n)`` kernel matrix; it is called when the kernel's block is
+    solved, so only one block of kernels exists at a time. ``problems``
+    holds ``(kernel index, y, c, cap)`` tuples with ``y`` of length n, and
+    problems may share a kernel. Kernels are taken in order of size into
+    blocks of at most ``SMO_BLOCK_ENTRIES`` padded entries.
+
+    Returns, per problem, ``smo_solve``'s ``(alpha, bias, converged,
+    steps)``, or a ``ValueError`` if its kernel is not finite.
+    """
+    results = [None] * len(problems)
+    users = [[] for _ in kernels]
+    for b, problem in enumerate(problems):
+        users[problem[0]].append(b)
+    by_size = sorted(range(len(kernels)), key=lambda u: kernels[u][0])
+    blocks = []
+    for u in by_size:
+        if not blocks or ((len(blocks[-1]) + 1) * kernels[u][0] ** 2
+                          > SMO_BLOCK_ENTRIES):
+            blocks.append([])
+        blocks[-1].append(u)
+    for block in blocks:
+        size = kernels[block[-1]][0]
+        # A block of one kernel reads it in place through a transposed view.
+        stack = None if len(block) == 1 else np.zeros((len(block), size, size))
+        todo = []
+        for slot, u in enumerate(block):
+            n, make = kernels[u]
+            K = make()
+            # max and min propagate NaN and reach any infinity without an
+            # n x n mask.
+            if not (math.isfinite(K.max()) and math.isfinite(K.min())):
+                for b in users[u]:
+                    results[b] = ValueError("kernel matrix must be finite")
+                continue
+            if stack is None:
+                stack = K.T[None]
+            else:
+                stack[slot, :n, :n] = K.T
+            todo += [(b, slot, n) for b in users[u]]
+        if not todo:
+            continue
+        y = np.zeros((len(todo), size))
+        for row, (b, _, n) in enumerate(todo):
+            y[row, :n] = problems[b][1]
+        alpha, bias, converged, steps = _smo_block(
+            stack, np.array([slot for _, slot, _ in todo]), y,
+            np.array([problems[b][2] for b, _, _ in todo], dtype=float),
+            np.array([problems[b][3] for b, _, _ in todo]), tol)
+        for row, (b, _, n) in enumerate(todo):
+            results[b] = (alpha[row, :n], float(bias[row]),
+                          bool(converged[row]), int(steps[row]))
+    return results
+
+
+def _smo_block(Kt, which, y, c, caps, tol: float):
+    """Lockstep SMO over one block of problems; see ``smo_solve``.
+
+    Problem b solves the dual of the kernel whose transpose is
+    ``Kt[which[b]]``, with labels ``y[b]`` (0 in the padding, which keeps
+    padded entries out of both working sets), box ``c[b]`` and at most
+    ``caps[b]`` pair updates. Every scalar of one problem's step is an
+    element of an array here, computed by the same IEEE operations in the
+    same order, so each problem gets the result it would get alone. A
+    problem leaves the batch when its gap closes, a working set is empty,
+    its step is numerically stuck or it reaches its cap.
+
+    Returns ``(alpha, bias, converged, steps)`` as arrays over problems.
+    """
+    eps = 1e-12
+    size = y.shape[1]
+    # Row u * size + i of kernel_rows is column i of kernel u.
+    kernel_rows = Kt.reshape(-1, size)
+    diag = np.diagonal(Kt, axis1=1, axis2=2).reshape(-1)
+    alpha = np.zeros(y.shape)
+    bias = np.zeros(len(y))
+    converged = np.zeros(len(y), dtype=bool)
+    steps = np.zeros(len(y), dtype=np.int64)
+
+    # State of the live problems, compacted whenever some finish. A cap of
+    # zero or less finishes at once, unconverged, with bias 0.
+    live = np.flatnonzero(caps > 0)
+    y, c, caps, base = y[live], c[live], caps[live], which[live] * size
+    a = np.zeros(y.shape)
+    # yg = -y * grad, with grad = Q alpha - 1 the gradient of the
+    # minimization form; at alpha = 0 only the lower bound is active.
+    yg = y.copy()
+    up = (y > 0) & (0.0 < c - eps)[:, None]
+    low = (y < 0) & (0.0 < c - eps)[:, None]
+    st = np.zeros(live.size, dtype=np.int64)
+
+    def record(rows, ok, m_val, M_val, live, a, st):
+        idx = live[rows]
+        alpha[idx] = a[rows]
+        bias[idx] = (m_val[rows] + M_val[rows]) / 2.0
+        converged[idx] = ok
+        steps[idx] = st[rows]
+
+    n_done = n_capped = 1
+    while live.size:
+        if n_done or n_capped:
+            # Per-pair arrays hold the i entries of all live problems, then
+            # their j entries; entry (b, k) sits at flat position b * size + k.
+            n = live.size
+            starts = np.tile(np.arange(0, n * size, size), 2)
+            bases = np.tile(base, 2)
+            top = np.tile(c - eps, 2)
+            a_flat, yg_flat, up_flat, low_flat, y_flat = (
+                v.reshape(-1) for v in (a, yg, up, low, y))
         # Outside its working set an entry is never chosen; argmax and
         # argmin return the first extreme, the smallest index.
-        i = int(np.where(up, yg, -np.inf).argmax())
-        j = int(np.where(low, yg, np.inf).argmin())
-        if not (up[i] and low[j]):
-            converged = True
-            m_val = float(yg[i]) if up[i] else 0.0
-            M_val = float(yg[j]) if low[j] else m_val
-            break
-        m_val = float(yg[i])
-        M_val = float(yg[j])
-        if m_val - M_val <= tol:
-            converged = True
-            break
+        i = np.where(up, yg, -np.inf).argmax(axis=1)
+        j = np.where(low, yg, np.inf).argmin(axis=1)
+        ij = np.concatenate((i, j))
+        flat = starts + ij
+        has_i = up_flat[flat[:n]]
+        has_j = low_flat[flat[n:]]
+        yg_ij = yg_flat[flat]
+        m_val = yg_ij[:n]
+        M_val = yg_ij[n:]
+        both = has_i & has_j
+        gap_closed = m_val - M_val <= tol
+        if np.count_nonzero(both) < n:
+            # An empty working set ends a problem as converged.
+            m_val = np.where(has_i, m_val, 0.0)
+            M_val = np.where(has_j, M_val, m_val)
+            gap_closed |= ~both
 
         # Two-variable subproblem along the feasible direction through (i, j).
-        y_i, y_j = signs[i], signs[j]
-        a_i, a_j = alpha[i], alpha[j]
-        eta = max(K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j), 1e-12)
+        rows = bases + ij
+        y_ij = y_flat[flat]
+        a_ij = a_flat[flat]
+        y_i, y_j = y_ij[:n], y_ij[n:]
+        a_i, a_j = a_ij[:n], a_ij[n:]
+        d_ii = diag[rows]
+        eta = np.maximum(d_ii[:n] + d_ii[n:] - 2.0 * kernel_rows[rows[n:], i],
+                         1e-12)
         s = y_i * y_j
-        if s < 0:
-            lo = max(0.0, a_j - a_i)
-            hi = min(c, c + a_j - a_i)
-        else:
-            lo = max(0.0, a_i + a_j - c)
-            hi = min(c, a_i + a_j)
-        a_j_new = a_j + y_j * (M_val - m_val) / eta
-        a_j_new = min(max(a_j_new, lo), hi)
+        opposite = s < 0
+        total = a_i + a_j
+        lo = np.maximum(0.0, np.where(opposite, a_j - a_i, total - c))
+        hi = np.minimum(c, np.where(opposite, c + a_j - a_i, total))
+        a_j_new = np.minimum(np.maximum(a_j + y_j * (M_val - m_val) / eta, lo),
+                             hi)
         d_j = a_j_new - a_j
-        d_i = -s * d_j
-        if abs(d_j) < 1e-15:
-            # Numerically stuck pair; the gap is still above tol.
-            break
-        a_i += d_i
-        a_j += d_j
-        alpha[i] = a_i
-        alpha[j] = a_j
-        yg += K[:, i] * (-y_i * d_i) + K[:, j] * (-y_j * d_j)
-        up[i] = a_i < top if y_i > 0 else a_i > eps
-        low[i] = a_i > eps if y_i > 0 else a_i < top
-        up[j] = a_j < top if y_j > 0 else a_j > eps
-        low[j] = a_j > eps if y_j > 0 else a_j < top
-        steps += 1
-    bias = (m_val + M_val) / 2.0
-    return np.array(alpha), float(bias), converged, steps
+        d_ij = np.concatenate((-s * d_j, d_j))
+        # A numerically stuck pair stops while the gap is still above tol.
+        done = gap_closed | (np.abs(d_j) < 1e-15)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            record(done, gap_closed[done], m_val, M_val, live, a, st)
+
+        # Problems recorded as done take this update too; it is discarded
+        # when they leave the batch below. Elsewhere i and j differ.
+        a_ij = a_ij + d_ij
+        a_flat[flat] = a_ij
+        step = kernel_rows[rows] * (-y_ij * d_ij)[:, None]
+        yg += step[:n] + step[n:]
+        pos = y_ij > 0
+        below = a_ij < top
+        above = a_ij > eps
+        up_flat[flat] = np.where(pos, below, above)
+        low_flat[flat] = np.where(pos, above, below)
+        st += ~done
+        capped = st >= caps
+        n_capped = np.count_nonzero(capped)
+        if n_capped:
+            record(capped, False, m_val, M_val, live, a, st)
+        if n_done or n_capped:
+            keep = ~(done | capped)
+            live, a, yg, up, low, y, c, caps, base, st = (
+                v[keep] for v in (live, a, yg, up, low, y, c, caps, base, st))
+    return alpha, bias, converged, steps
 
 
 @dataclass(frozen=True)
@@ -369,43 +518,106 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
             max_steps=None) -> SVMModel:
     """Train one-vs-one soft-margin SVMs over all class pairs.
 
-    The smaller class identifier of each pair takes the +1 side. If a binary
-    problem stops before the violation gap closes, because it hit its
-    pair-update cap or took a step too small to move alpha, the model
-    carries a warning saying which in its metadata instead of failing.
+    The smaller class identifier of each pair takes the +1 side, and the
+    pairs are solved together in one lockstep batch. If a binary problem
+    stops before the violation gap closes, because it hit its pair-update
+    cap or took a step too small to move alpha, the model carries a warning
+    saying which in its metadata instead of failing.
     """
+    pts, labels = _training_data(points, labels)
+    ((model,),) = _svm_fit_many(pts, labels, [np.arange(pts.shape[0])],
+                                [params], tol, max_steps)
+    if isinstance(model, ValueError):
+        raise model
+    return model
+
+
+def _training_data(points, labels):
+    """Points as a float array and labels as strings, one label per row."""
     pts = np.asarray(points, dtype=float)
     labels = np.array([str(v) for v in labels], dtype=object)
-    classes = sorted_classes(labels)
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    gamma = resolve_gamma(params, pts)
-    pairs = []
-    notes = []
-    all_converged = True
-    smo_steps = 0
-    for a_i in range(len(classes)):
-        for b_i in range(a_i + 1, len(classes)):
-            pos, neg = classes[a_i], classes[b_i]
-            mask = (labels == pos) | (labels == neg)
-            sub = pts[mask]
-            y = np.where(labels[mask] == pos, 1.0, -1.0)
-            K = kernel_matrix(sub, sub, params.kernel, gamma)
-            cap = _step_cap(y.size, max_steps)
-            alpha, bias, ok, steps = smo_solve(K, y, params.c, tol=tol,
-                                               max_steps=cap)
+    if pts.ndim != 2 or pts.shape[0] != labels.size:
+        raise ValueError("need a 2-d array of points with one label per row")
+    return pts, labels
+
+
+def _pair_kernel(points, members, kernel: str, gamma: float) -> np.ndarray:
+    sub = points[members]
+    return kernel_matrix(sub, sub, kernel, gamma)
+
+
+def _svm_fit_many(pts, labels, folds, params_list, tol: float = 1e-3,
+                  max_steps=None):
+    """``svm_fit`` for every parameter point on every training fold at once.
+
+    ``pts`` and ``labels`` are as ``_training_data`` returns them, and
+    ``folds`` holds arrays of the row indices that each fold trains on.
+    Each class pair's kernel is built once per kernel type and shared by
+    the points that differ only in C, and every binary problem is solved by
+    one lockstep call. Yields, per fold, an iterator over the points of the
+    model ``svm_fit`` would return or the ``ValueError`` it would raise.
+    Models are assembled one at a time, as they are read, because each
+    holds copies of its support vectors.
+    """
+    kernels = []
+    problems = []
+    fits = []
+    for rows in folds:
+        fold_labels = labels[rows]
+        classes = sorted_classes(fold_labels)
+        if len(classes) < 2:
+            fits.append(None)
+            continue
+        pairs = []
+        for a_i in range(len(classes)):
+            for b_i in range(a_i + 1, len(classes)):
+                pos, neg = classes[a_i], classes[b_i]
+                mask = (fold_labels == pos) | (fold_labels == neg)
+                pairs.append((pos, neg, rows[mask],
+                              np.where(fold_labels[mask] == pos, 1.0, -1.0)))
+        first_kernel = {}
+        plans = []
+        for params in params_list:
+            if params.kernel not in first_kernel:
+                gamma = resolve_gamma(params, pts[rows])
+                first_kernel[params.kernel] = (len(kernels), gamma)
+                kernels += [(members.size, functools.partial(
+                    _pair_kernel, pts, members, params.kernel, gamma))
+                    for _, _, members, _ in pairs]
+            first, gamma = first_kernel[params.kernel]
+            plans.append((params, gamma, len(problems)))
+            problems += [(first + q, y, params.c, _step_cap(y.size, max_steps))
+                         for q, (_, _, _, y) in enumerate(pairs)]
+        fits.append((classes, pairs, plans))
+    results = _smo_lockstep(kernels, problems, tol)
+
+    def assemble(classes, pairs, params, gamma, start):
+        binary = []
+        notes = []
+        smo_steps = 0
+        for q, (pos, neg, members, y) in enumerate(pairs):
+            result = results[start + q]
+            if isinstance(result, ValueError):
+                return result
+            alpha, bias, ok, steps = result
             smo_steps += steps
             if not ok:
-                all_converged = False
                 notes.append(f"pair ({pos}, {neg}) hit the iteration cap"
-                             if steps >= cap else
+                             if steps >= problems[start + q][3] else
                              f"pair ({pos}, {neg}) stopped on a numerically "
                              f"stuck step before the gap closed")
             sv = alpha > 1e-12
-            pairs.append(_BinarySVM(pos, neg, sub[sv], alpha[sv] * y[sv],
-                                    bias))
-    return SVMModel(tuple(classes), tuple(pairs), params, gamma,
-                    all_converged, smo_steps, tuple(notes))
+            binary.append(_BinarySVM(pos, neg, pts[members[sv]],
+                                     alpha[sv] * y[sv], bias))
+        return SVMModel(tuple(classes), tuple(binary), params, gamma,
+                        not notes, smo_steps, tuple(notes))
+
+    for fit in fits:
+        if fit is None:
+            yield [ValueError("need at least two classes")] * len(params_list)
+        else:
+            classes, pairs, plans = fit
+            yield (assemble(classes, pairs, *plan) for plan in plans)
 
 
 def svm_predict(model: SVMModel, queries) -> np.ndarray:
@@ -507,36 +719,81 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
     """Pick the grid point with the best mean validation accuracy.
 
     Ties keep the earliest grid entry, so the grid's canonical enumeration
-    order doubles as the tie-break. Returns ``(best_params, best_score)``.
+    order doubles as the tie-break. A point is skipped as infeasible when
+    fitting it on some training fold would raise ``ValueError`` (k above
+    the fold size, a single-class fold, a kernel that is not finite).
+    Returns ``(best_params, best_score)``.
+
+    The search runs fold by fold and gives the scores of fitting each point
+    on its own: per fold, the KNN points sort the neighbours once per
+    Minkowski p, and the SVM points of all folds share their class-pair
+    kernels across C and are solved in one lockstep batch.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    pts = np.asarray(points, dtype=float)
-    labels = np.asarray([str(v) for v in labels], dtype=object)
+    for params in grid:
+        if not isinstance(params, (KNNParams, SVMParams)):
+            raise TypeError(
+                f"unsupported parameter type {type(params).__name__}")
+    pts, labels = _training_data(points, labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         folds = kfold_splits(labels, k, seed)
     all_idx = np.arange(pts.shape[0])
+    splits = []
+    for fold in folds:
+        train_mask = np.ones(pts.shape[0], dtype=bool)
+        train_mask[fold] = False
+        splits.append((all_idx[train_mask], fold))
+
+    # Validation accuracies per grid point; None once a fold is infeasible.
+    scores = [[] for _ in grid]
+    knn = [(g, params) for g, params in enumerate(grid)
+           if isinstance(params, KNNParams)]
+    for train, fold in splits:
+        classes = sorted_classes(labels[train])
+        class_names = np.array(classes, dtype=object)
+        class_index = {c: i for i, c in enumerate(classes)}
+        train_class = np.array([class_index[l] for l in labels[train]])
+        for p in sorted({params.p for _, params in knn}):
+            points_p = []
+            for g, params in knn:
+                if params.p != p or scores[g] is None:
+                    continue
+                if params.n_neighbors > train.size:
+                    scores[g] = None
+                else:
+                    points_p.append((g, (params.n_neighbors, params.weights)))
+            if not points_p:
+                continue
+            dist = _minkowski(pts[fold], pts[train], p)
+            order = np.argsort(dist, axis=1, kind="stable")
+            winners = _knn_votes(dist, order, train_class, len(classes),
+                                 [point for _, point in points_p])
+            for g, point in points_p:
+                scores[g].append(
+                    accuracy(labels[fold], class_names[winners[point]]))
+
+    svm = [(g, params) for g, params in enumerate(grid)
+           if isinstance(params, SVMParams)]
+    if svm:
+        fits = _svm_fit_many(pts, labels, [train for train, _ in splits],
+                             [params for _, params in svm])
+        for (_, fold), models in zip(splits, fits):
+            for (g, _), model in zip(svm, models):
+                if isinstance(model, ValueError):
+                    scores[g] = None
+                elif scores[g] is not None:
+                    pred = svm_predict(model, pts[fold])
+                    scores[g].append(accuracy(labels[fold], pred))
+
     best_params = None
     best_score = -np.inf
-    for params in grid:
-        scores = []
-        for fold in folds:
-            train_mask = np.ones(pts.shape[0], dtype=bool)
-            train_mask[fold] = False
-            train_idx = all_idx[train_mask]
-            try:
-                model = fit_model(pts[train_idx], labels[train_idx], params)
-            except ValueError:
-                # Parameter infeasible for this fold size (e.g. k too large).
-                scores = None
-                break
-            pred = predict_model(model, pts[fold])
-            scores.append(accuracy(labels[fold], pred))
-        if scores is None:
+    for params, point_scores in zip(grid, scores):
+        if point_scores is None:
             continue
-        score = float(np.mean(scores))
+        score = float(np.mean(point_scores))
         if score > best_score:
             best_score = score
             best_params = params
@@ -547,12 +804,17 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
 
 @dataclass(frozen=True)
 class CVReport:
-    """Outcome of one nested cross-validation run."""
+    """Outcome of one nested cross-validation run.
+
+    ``notes`` holds, per outer fold, the warnings of the model refit there
+    (an SVM pair that stopped before its gap closed); KNN refits have none.
+    """
 
     fold_accuracies: tuple
     chosen_params: tuple
     classes: tuple
     confusion: np.ndarray
+    notes: tuple = ()
 
     @property
     def minimum(self) -> float:
@@ -594,6 +856,7 @@ def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,
     all_idx = np.arange(pts.shape[0])
     fold_acc = []
     chosen = []
+    notes = []
     pooled = np.zeros((len(classes), len(classes)), dtype=int)
     for f, holdout in enumerate(folds):
         train_mask = np.ones(pts.shape[0], dtype=bool)
@@ -605,6 +868,8 @@ def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,
         pred = predict_model(model, pts[holdout])
         fold_acc.append(accuracy(labels[holdout], pred))
         chosen.append(params)
+        notes.append(model.warnings if isinstance(model, SVMModel) else ())
         _, mat = confusion_matrix(labels[holdout], pred, classes)
         pooled += mat
-    return CVReport(tuple(fold_acc), tuple(chosen), classes, pooled)
+    return CVReport(tuple(fold_acc), tuple(chosen), classes, pooled,
+                    tuple(notes))

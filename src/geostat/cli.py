@@ -96,6 +96,12 @@ def _write_csv(path, header, rows) -> None:
             os.unlink(tmp)
 
 
+def _print_notes(where: str, notes) -> None:
+    """Report a refit model's warnings on stderr; result files omit them."""
+    for note in notes:
+        print(f"note: {where}: {note}", file=sys.stderr)
+
+
 def _run_tasks(worker, tasks, jobs: int) -> list:
     """Run tasks (picklable argument tuples) and return results in task order."""
     if jobs <= 1 or len(tasks) <= 1:
@@ -190,7 +196,8 @@ def _evaluate_task(args):
                                         k=folds, seed=seed)
     fitted = classify.fit_model(train_n.rows, train_n.labels, params)
     pred = classify.predict_model(fitted, test_n.rows)
-    return classify.accuracy(test_n.labels, pred), params.tag()
+    notes = fitted.warnings if isinstance(fitted, classify.SVMModel) else ()
+    return classify.accuracy(test_n.labels, pred), params.tag(), notes
 
 
 def _evaluate_matrices(cfg: RunConfig, grid):
@@ -221,8 +228,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         grid = _extract_grid(cfg)
     keys, results = _evaluate_matrices(cfg, grid)
 
+    for (model, w, s, run), (_, _, notes) in zip(keys, results):
+        _print_notes(f"{model} {w}W {s}S run {run}", notes)
     rows = [[model, w, s, run, "", _fmt(acc)]
-            for (model, w, s, run), (acc, _) in zip(keys, results)]
+            for (model, w, s, run), (acc, _, _) in zip(keys, results)]
     _write_csv(os.path.join(cfg.out, "results.csv"),
                ["model", "windows", "smoothings", "run", "fold", "accuracy"],
                rows)
@@ -230,7 +239,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     summary = []
     for (w, s) in cfg.grid_cells:
         for model in cfg.models:
-            accs = [acc for (m, ww, ss, _), (acc, _) in zip(keys, results)
+            accs = [acc for (m, ww, ss, _), (acc, _, _) in zip(keys, results)
                     if m == model and ww == w and ss == s]
             tag = f"{model.upper()}_{w}W_{s}S"
             summary.append([tag, _fmt(min(accs)), _fmt(max(accs)),
@@ -274,7 +283,7 @@ def _nested_task(args):
                                 outer_k=folds, inner_k=folds, seed=seed)
     return (report.fold_accuracies,
             tuple(p.tag() for p in report.chosen_params),
-            report.classes, report.confusion)
+            report.classes, report.confusion, report.notes)
 
 
 def _run_nested(cfg: RunConfig, fm: FeatureMatrix, suffix: str = "") -> None:
@@ -292,9 +301,12 @@ def _run_nested(cfg: RunConfig, fm: FeatureMatrix, suffix: str = "") -> None:
     summary_rows = []
     for model in cfg.models:
         iteration_means = []
-        for (m, it), (fold_acc, tags, _, _) in zip(keys, results):
+        for (m, it), (fold_acc, tags, _, _, notes) in zip(keys, results):
             if m != model:
                 continue
+            for f, fold_notes in enumerate(notes):
+                _print_notes(f"{model}{suffix} iteration {it} fold {f}",
+                             fold_notes)
             iteration_means.append(float(np.mean(fold_acc)))
             for f, (acc, tag) in enumerate(zip(fold_acc, tags)):
                 fold_rows.append([model, it, f, _fmt(acc), tag])
@@ -364,7 +376,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     def mean_by_cell_model(feature_grid):
         keys, results = _evaluate_matrices(cfg, feature_grid)
         out = {}
-        for (model, w, s, _), (acc, _) in zip(keys, results):
+        for (model, w, s, _), (acc, _, _) in zip(keys, results):
             out.setdefault((model, w, s), []).append(acc)
         return {k: float(np.mean(v)) for k, v in out.items()}
 
@@ -409,7 +421,7 @@ def cmd_windows(cfg: RunConfig) -> int:
             sub_cfg = replace(cfg, windows=(w,), smoothings=(s,))
             keys, results = _evaluate_matrices(sub_cfg, sliced)
             for model in cfg.models:
-                accs = [acc for (m, _, _, _), (acc, _) in zip(keys, results)
+                accs = [acc for (m, _, _, _), (acc, _, _) in zip(keys, results)
                         if m == model]
                 rows.append([model, w, s, window,
                              _fmt(float(np.mean(accs))),

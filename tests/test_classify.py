@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,18 +9,21 @@ from conftest import make_blobs
 from geostat import classify
 from geostat.classify import (
     CVReport,
+    KNNModel,
     KNNParams,
     SVMParams,
     accuracy,
     confusion_matrix,
     default_knn_grid,
     default_svm_grid,
+    fit_model,
     grid_search_cv,
     kernel_matrix,
     kfold_splits,
     knn_fit,
     knn_predict,
     nested_cv,
+    predict_model,
     smo_solve,
     sorted_classes,
     svm_fit,
@@ -211,6 +215,71 @@ def reference_smo(K, y, c, tol=1e-3, max_steps=None):
     return alpha, float(bias), converged
 
 
+def reference_knn_predict(model, queries):
+    """The earlier per-row vote loop; ``knn_predict`` must match it."""
+    q = np.asarray(queries, dtype=float)
+    dist = classify._minkowski(q, model.points, model.params.p)
+    k = model.params.n_neighbors
+    class_index = {c: i for i, c in enumerate(model.classes)}
+    train_idx = np.array([class_index[l] for l in model.labels])
+    out = []
+    for row in dist:
+        order = np.argsort(row, kind="stable")[:k]
+        votes = np.zeros(len(model.classes))
+        if model.params.weights == "uniform":
+            for j in order:
+                votes[train_idx[j]] += 1.0
+        else:
+            zero = [j for j in order if row[j] == 0.0]
+            if zero:
+                for j in zero:
+                    votes[train_idx[j]] += 1.0
+            else:
+                for j in order:
+                    votes[train_idx[j]] += 1.0 / row[j]
+        out.append(model.classes[int(np.argmax(votes))])
+    return np.array(out, dtype=object)
+
+
+def reference_grid_search(points, labels, grid, k=10, seed=0):
+    """The earlier grid search, one grid point and one fold at a time;
+    ``grid_search_cv`` must return the same ``(params, score)``."""
+    grid = list(grid)
+    pts = np.asarray(points, dtype=float)
+    labels = np.asarray([str(v) for v in labels], dtype=object)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        folds = kfold_splits(labels, k, seed)
+    all_idx = np.arange(pts.shape[0])
+    best_params = None
+    best_score = -np.inf
+    for params in grid:
+        scores = []
+        for fold in folds:
+            train_mask = np.ones(pts.shape[0], dtype=bool)
+            train_mask[fold] = False
+            train_idx = all_idx[train_mask]
+            try:
+                model = fit_model(pts[train_idx], labels[train_idx], params)
+            except ValueError:
+                scores = None
+                break
+            if isinstance(model, KNNModel):
+                pred = reference_knn_predict(model, pts[fold])
+            else:
+                pred = predict_model(model, pts[fold])
+            scores.append(accuracy(labels[fold], pred))
+        if scores is None:
+            continue
+        score = float(np.mean(scores))
+        if score > best_score:
+            best_score = score
+            best_params = params
+    if best_params is None:
+        raise ValueError("no grid point was feasible for this data")
+    return best_params, best_score
+
+
 def exact_match_problems():
     """(name, K, y, c, max_steps) covering every exit of the solver."""
     rng = np.random.default_rng(11)
@@ -336,6 +405,25 @@ class TestKNN:
             for query, g in zip(queries, got):
                 assert g == knn_oracle(x.tolist(), y, query.tolist(),
                                        k, weights, p)
+
+    def test_votes_match_row_loop_on_ties_and_zero_distances(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(3, 25))
+            d = int(rng.integers(1, 4))
+            # Small integer coordinates: duplicate rows, zero distances and
+            # equal distances are common.
+            x = rng.integers(0, 3, size=(n, d)).astype(float)
+            y = [str(v) for v in rng.integers(0, 3, n)]
+            queries = np.vstack([x[rng.integers(0, n, 4)],
+                                 rng.integers(0, 3, size=(4, d))])
+            for k in sorted({1, 2, n // 2 + 1, n}):
+                for weights in ("uniform", "distance"):
+                    for p in (1, 2):
+                        model = knn_fit(x, y, KNNParams(k, weights, p))
+                        np.testing.assert_array_equal(
+                            knn_predict(model, queries),
+                            reference_knn_predict(model, queries))
 
     def test_distance_blocks_are_bit_identical_and_bounded(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -478,6 +566,11 @@ class TestSVM:
         with pytest.raises(ValueError):
             smo_solve(K, np.asarray(y), c)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_params_reject_c_outside_positive_finite(self, c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SVMParams(c=c)
+
     def test_multiclass_one_vs_one(self):
         x, y = make_blobs(10, [[0, 0], [4, 0], [0, 4]], seed=5)
         model = svm_fit(x, y, SVMParams(c=1.0, kernel="linear"))
@@ -509,6 +602,107 @@ class TestSVM:
         x, y = make_blobs(20, [0.0, 1.0], spread=2.0, seed=14)
         capped = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"), max_steps=1)
         assert capped.warnings == ("pair (0, 1) hit the iteration cap",)
+
+
+def solve_in_lockstep(problems, tol=1e-3):
+    """Solve ``(name, K, y, c, max_steps)`` problems in one lockstep call."""
+    kernels = [(y.size, lambda K=K: K) for _, K, y, _, _ in problems]
+    return classify._smo_lockstep(
+        kernels, [(u, y, c, classify._step_cap(y.size, max_steps))
+                  for u, (_, _, y, c, max_steps) in enumerate(problems)], tol)
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """Problem count and padded size of every lockstep block solved."""
+    seen = []
+    solve = classify._smo_block
+
+    def spy(Kt, which, y, c, caps, tol):
+        seen.append(y.shape)
+        return solve(Kt, which, y, c, caps, tol)
+
+    monkeypatch.setattr(classify, "_smo_block", spy)
+    return seen
+
+
+class TestLockstep:
+    def test_one_batch_matches_reference(self, block_sizes):
+        problems = list(exact_match_problems())
+        got = solve_in_lockstep(problems)
+        # Every problem up to n = 50 shares the first block, padded to 50.
+        small = sum(y.size <= 50 for _, _, y, _, _ in problems)
+        assert block_sizes[0] == (small, 50)
+        for (name, K, y, c, max_steps), result in zip(problems, got):
+            alpha, bias, converged, steps = result
+            ref_alpha, ref_bias, ref_converged = reference_smo(
+                K, y, c, max_steps=max_steps)
+            assert np.array_equal(alpha, ref_alpha), name
+            assert bias == ref_bias, name
+            assert converged == ref_converged, name
+            assert steps == smo_solve(K, y, c, max_steps=max_steps)[3], name
+
+    def test_every_exit_inside_one_batch(self, block_sizes):
+        problems = [p for p in exact_match_problems()
+                    if p[0].startswith(("max_steps", "stuck", "all ", "rbf n=18",
+                                        "linear n=10"))]
+        got = solve_in_lockstep(problems)
+        assert block_sizes == [(len(problems), 24)]
+        by_name = {p[0]: r for p, r in zip(problems, got)}
+        for steps in (1, 3):
+            for kernel in ("linear", "rbf", "poly"):
+                _, _, converged, taken = by_name[f"max_steps={steps} {kernel}"]
+                assert taken == steps and not converged
+        for scale in (1e8, 3e8, 1e9):
+            alpha, _, converged, taken = by_name[f"stuck scale={scale:g}"]
+            assert taken == 0 and not converged
+            np.testing.assert_array_equal(alpha, 0.0)
+        for n in (1, 2, 7):
+            for sign in ("+1", "-1"):
+                *_, converged, taken = by_name[f"all {sign} n={n}"]
+                assert converged and taken == 0
+        for (name, K, y, c, max_steps), result in zip(problems, got):
+            assert np.array_equal(result[0], reference_smo(
+                K, y, c, max_steps=max_steps)[0]), name
+            assert result[1:] == smo_solve(K, y, c, max_steps=max_steps)[1:], name
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_block_size_does_not_change_results(self, monkeypatch, block_sizes,
+                                                per_block):
+        problems = [p for p in exact_match_problems() if p[2].size == 18]
+        whole = solve_in_lockstep(problems)
+        assert block_sizes == [(len(problems), 18)]
+        block_sizes.clear()
+        monkeypatch.setattr(classify, "SMO_BLOCK_ENTRIES", per_block * 18 * 18)
+        got = solve_in_lockstep(problems)
+        assert [count for count, _ in block_sizes[:-1]] == (
+            [per_block] * (len(block_sizes) - 1))
+        assert sum(count for count, _ in block_sizes) == len(problems)
+        for (name, *_), a, b in zip(problems, whole, got):
+            assert np.array_equal(a[0], b[0]) and a[1:] == b[1:], name
+
+    def test_memory_stays_flat_as_problems_grow(self, monkeypatch):
+        n = 40
+        monkeypatch.setattr(classify, "SMO_BLOCK_ENTRIES", 4 * n * n)
+        rng = np.random.default_rng(6)
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        x = rng.normal(size=(n, 3)) + 0.8 * y[:, None]
+
+        def peak(count):
+            # Each kernel is built only when its block is solved.
+            kernels = [(n, lambda: kernel_matrix(x, x, "rbf", 1.0 / 3))] * count
+            problems = [(u, y, 1.0, 10 * n * n) for u in range(count)]
+            tracemalloc.start()
+            try:
+                classify._smo_lockstep(kernels, problems, 1e-3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(8), peak(64)
+        # A block of 4 padded kernels is 51 kB, and 64 kernels held at once
+        # would be 819 kB; each problem's result adds a few hundred bytes.
+        assert large < small + 64 * 1_000
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +767,71 @@ class TestGridSearch:
         params, score = grid_search_cv(x, y, default_knn_grid(), k=5, seed=0)
         assert score == 1.0
         assert params == default_knn_grid()[0]
+
+
+MIXED_GRID = tuple(p for pair in zip(default_svm_grid(), default_knn_grid())
+                   for p in pair) + default_knn_grid()[9:]
+
+
+class TestGridSearchAgainstReference:
+    @pytest.mark.parametrize("grid", [default_knn_grid(), default_svm_grid(),
+                                      MIXED_GRID], ids=["knn", "svm", "mixed"])
+    def test_matches_point_by_point_search(self, grid):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            n_classes = int(rng.integers(2, 4))
+            x, y = make_blobs(int(rng.integers(6, 14)),
+                              [[c, 0.5 * c] for c in range(n_classes)],
+                              spread=float(rng.choice([0.4, 1.0, 2.0])),
+                              seed=int(rng.integers(1000)))
+            k = int(rng.integers(3, 6))
+            seed = int(rng.integers(1000))
+            assert grid_search_cv(x, y, grid, k=k, seed=seed) == \
+                reference_grid_search(x, y, grid, k=k, seed=seed)
+
+    def test_neighbours_beyond_a_training_fold_are_skipped(self):
+        # Training folds hold 6 or 7 rows, so k = 8 and k = 10 are infeasible.
+        x, y = make_blobs(5, [0.0, 1.0], spread=1.0, seed=4)
+        grid = (KNNParams(10), KNNParams(8, "distance"), KNNParams(6, p=1),
+                KNNParams(4, "distance"), SVMParams(0.1, "linear"))
+        got = grid_search_cv(x, y, grid, k=3, seed=2)
+        assert got == reference_grid_search(x, y, grid, k=3, seed=2)
+        for search in (grid_search_cv, reference_grid_search):
+            with pytest.raises(ValueError, match="no grid point was feasible"):
+                search(x, y, grid[:2], k=3, seed=2)
+
+    def test_single_class_fold_sinks_every_svm_point(self):
+        x = np.random.default_rng(5).normal(size=(10, 2))
+        y = ["a"] * 9 + ["b"]
+        for search in (grid_search_cv, reference_grid_search):
+            with pytest.raises(ValueError, match="no grid point was feasible"):
+                search(x, y, default_svm_grid(), k=5, seed=0)
+        assert grid_search_cv(x, y, MIXED_GRID, k=5, seed=0) == \
+            reference_grid_search(x, y, MIXED_GRID, k=5, seed=0)
+
+    def test_non_finite_kernel_sinks_only_its_points(self):
+        # A tiny-variance feature next to a constant one: gamma is about
+        # 4e299, so the polynomial kernel overflows while the linear and
+        # rbf kernels stay finite.
+        x, y = make_blobs(10, [0.0, 3.0], seed=3)
+        x = np.column_stack([x[:, 0] * 1e-150, np.full(len(y), 1000.0)])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="no grid point was feasible"):
+                grid_search_cv(x, y, [SVMParams(1.0, "poly")], k=4, seed=0)
+            got = grid_search_cv(x, y, MIXED_GRID, k=4, seed=0)
+            assert got == reference_grid_search(x, y, MIXED_GRID, k=4, seed=0)
+            svm_only = grid_search_cv(x, y, default_svm_grid(), k=4, seed=0)
+            assert svm_only == reference_grid_search(x, y, default_svm_grid(),
+                                                     k=4, seed=0)
+        assert svm_only[0].kernel != "poly"
+
+    def test_malformed_input_rejected(self):
+        with pytest.raises(ValueError):
+            grid_search_cv(np.zeros((6, 2)), ["a", "b"] * 2, [KNNParams(1)],
+                           k=2)
+        with pytest.raises(TypeError):
+            grid_search_cv(np.zeros((6, 2)), ["a", "b"] * 3, [KNNParams(1), 5],
+                           k=2)
 
 
 class TestNestedCV:

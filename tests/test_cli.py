@@ -12,6 +12,7 @@ from conftest import (
     ucr_rows_from_dataset,
     write_ucr_dataset,
 )
+from geostat import classify
 from geostat.cli import main, parse_mask
 from geostat.features import FeatureMatrix, write_feature_csv
 
@@ -162,6 +163,39 @@ class TestNested:
                  "--folds", "5", "--seed", "4")
         assert rc == 0
         assert (out / "nested_summary.csv").exists()
+
+
+class TestNotes:
+    """SVM refits that stop before their gap closes are reported on stderr."""
+
+    def test_nested_reports_capped_refits(self, feature_dir, tmp_path,
+                                          monkeypatch, capsys):
+        flags = ("nested", "--dataset", feature_dir, "--format", "features",
+                 "--models", "knn,svm", "--folds", "3", "--seed", "9")
+        assert run(*flags, "--out", tmp_path / "plain") == 0
+        assert "note:" not in capsys.readouterr().err
+        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        assert run(*flags, "--out", tmp_path / "capped") == 0
+        notes = capsys.readouterr().err.splitlines()
+        # One two-class refit per outer fold, each stopped by the cap.
+        assert notes == [f"note: svm iteration 0 fold {f}: pair (0, 1) hit "
+                         f"the iteration cap" for f in range(3)]
+        for name in os.listdir(tmp_path / "capped"):
+            assert "note" not in (tmp_path / "capped" / name).read_text()
+
+    def test_evaluate_reports_capped_refits(self, tiny_dataset, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        out = tmp_path / "out"
+        assert run("evaluate", "--dataset", tiny_dataset, "--out", out,
+                   "--smoothings", "1", "--windows", "2", "--models", "svm",
+                   *BASE_FLAGS) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note: ")]
+        assert notes
+        assert all(line.startswith("note: svm 2W 1S run 0: pair (")
+                   and line.endswith("hit the iteration cap") for line in notes)
+        assert "note" not in (out / "results.csv").read_text()
 
 
 class TestAblate:
