@@ -20,7 +20,6 @@ from .geometry import (
     GeometricStack,
     build_stack,
     curvature_magnitude,
-    finite_difference,
     signed_curvature,
     speed,
 )

@@ -19,7 +19,6 @@ from .series import UniformSeries, smooth_values
 
 __all__ = [
     "GeometricStack",
-    "finite_difference",
     "speed",
     "curvature_magnitude",
     "signed_curvature",
@@ -28,25 +27,24 @@ __all__ = [
 ]
 
 
-def _diff_values(values: np.ndarray, step: float) -> np.ndarray:
-    """Central differences at interior points, one-sided at the endpoints."""
+def _diff_values(values: np.ndarray, step, first=0, last=-1) -> np.ndarray:
+    """Central differences at interior points, one-sided at the endpoints.
+
+    Series laid end to end along axis 0 have their endpoints at ``first``
+    and ``last``, and a ``step`` per sample that broadcasts against
+    ``values``; their one-sided forms replace the differences across joins.
+    """
     if values.shape[0] < 3:
         raise ValueError("finite differences need at least 3 samples")
+    if np.ndim(step):
+        inner, h_first, h_last = step[1:-1], step[first], step[last]
+    else:
+        inner = h_first = h_last = step
     out = np.empty_like(values, dtype=float)
-    out[0] = (values[1] - values[0]) / step
-    out[-1] = (values[-1] - values[-2]) / step
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * inner)
+    out[first] = (values[first + 1] - values[first]) / h_first
+    out[last] = (values[last] - values[last - 1]) / h_last
     return out
-
-
-def finite_difference(us: UniformSeries) -> UniformSeries:
-    """Differentiate a uniform series numerically.
-
-    Interior points use centered differences, ``(x[k+1] - x[k-1]) / (2 dt)``,
-    exact for quadratics; the endpoints fall back to first-order one-sided
-    differences. The output shares the input's grid.
-    """
-    return us.with_values(_diff_values(us.values, us.step))
 
 
 def speed(first_deriv) -> np.ndarray:
@@ -85,10 +83,17 @@ def curvature_magnitude(first_deriv: UniformSeries,
     if first_deriv.dim == 1:
         return np.abs(_planar_curvature(first_deriv.values[:, 0],
                                         second_deriv.values[:, 0]))
-    v = np.hstack([np.ones((first_deriv.n_samples, 1)), first_deriv.values])
+    return _turn_rate(first_deriv.values, first_deriv.step)
+
+
+def _turn_rate(xd: np.ndarray, step, first=0, last=-1) -> np.ndarray:
+    """Norm of the derivative of the unit tangent of ``(1, xd)``.
+
+    ``step``, ``first`` and ``last`` are as in :func:`_diff_values`.
+    """
+    v = np.hstack([np.ones((xd.shape[0], 1)), xd])
     unit = v / np.linalg.norm(v, axis=1, keepdims=True)
-    d_unit = _diff_values(unit, first_deriv.step)
-    return np.linalg.norm(d_unit, axis=1)
+    return np.linalg.norm(_diff_values(unit, step, first, last), axis=1)
 
 
 def signed_curvature(first_deriv: UniformSeries,

@@ -6,13 +6,15 @@ series values after it; train and test splits live in ``*_TRAIN.*`` and
 ``*_TEST.*`` files. Vessel trajectories are CSVs of timestamped position
 fixes with speed and distance-to-shore/port channels; they are segmented
 into active sub-tracks, inactivity periods, and long sampling gaps before
-feature extraction.
+feature extraction, which computes the windowed signals of every active
+segment of every track in one array pass.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureMatrix, FRECHET_STATISTICS, GeoStatConfig
-from .geometry import build_stack
-from .series import TimeSeries, UniformSeries, resample_uniform
+from .geometry import _diff_values, _turn_rate, speed
+from .series import TimeSeries, _lerp, _smooth_runs
 from .stats import SphericalSample, frechet_mean_variance, summarize
 
 __all__ = [
@@ -271,7 +273,10 @@ def load_vessels(path, columns=None) -> list:
     Column names follow ``DEFAULT_VESSEL_COLUMNS`` and can be remapped via
     ``columns``. Rows are grouped into tracks by the vessel-id column. When
     a file has no label column, the file stem is used as the label for all
-    its tracks (the one-file-per-class layout).
+    its tracks (the one-file-per-class layout). Rows with fewer fields than
+    the header, or with a numeric field that is not a finite number, are
+    skipped; a file the CSV reader cannot parse raises ``ValueError`` naming
+    the file and line.
     """
     cols = dict(DEFAULT_VESSEL_COLUMNS)
     cols.update(columns or {})
@@ -286,36 +291,38 @@ def load_vessels(path, columns=None) -> list:
 
 
 def _load_vessel_file(path: Path, cols) -> list:
+    numeric = ("timestamp", "lat", "lon", "speed", "shore", "port")
+    default_label = path.stem
+    rows = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing header row")
-        header = set(reader.fieldnames)
-        required = ("timestamp", "lat", "lon", "speed", "shore", "port")
-        for key in required:
-            if cols[key] not in header:
-                raise ValueError(f"{path}: missing column {cols[key]!r}")
-        has_label = cols["label"] in header
-        has_id = cols["vessel_id"] in header
-        default_label = path.stem
-        rows = {}
-        for rec in reader:
-            vid = rec[cols["vessel_id"]] if has_id else default_label
-            label = rec[cols["label"]].strip() if has_label else default_label
-            try:
-                sample = (
-                    float(rec[cols["timestamp"]]),
-                    float(rec[cols["lat"]]),
-                    float(rec[cols["lon"]]),
-                    float(rec[cols["speed"]]),
-                    float(rec[cols["shore"]]),
-                    float(rec[cols["port"]]),
-                )
-            except (TypeError, ValueError):
-                continue  # skip rows with unusable numeric fields
-            if not all(math.isfinite(v) for v in sample):
-                continue
-            rows.setdefault((str(vid), label), []).append(sample)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: missing header row")
+            # A repeated name maps to its last column, as in csv.DictReader.
+            index = {name: i for i, name in enumerate(header)}
+            for key in numeric:
+                if cols[key] not in index:
+                    raise ValueError(f"{path}: missing column {cols[key]!r}")
+            fields = operator.itemgetter(*(index[cols[k]] for k in numeric))
+            label_at = index.get(cols["label"])
+            id_at = index.get(cols["vessel_id"])
+            for rec in reader:
+                if len(rec) < len(header):
+                    continue  # blank or short row
+                try:
+                    sample = tuple(map(float, fields(rec)))
+                except ValueError:
+                    continue  # skip rows with unusable numeric fields
+                if not all(map(math.isfinite, sample)):
+                    continue
+                vid = default_label if id_at is None else rec[id_at]
+                label = (default_label if label_at is None
+                         else rec[label_at].strip())
+                rows.setdefault((vid, label), []).append(sample)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     tracks = []
     for (vid, label), samples in sorted(rows.items()):
         samples.sort(key=lambda s: s[0])
@@ -402,49 +409,121 @@ def filter_labels(tracks) -> list:
     return kept
 
 
-def _segment_window_means(segment: ActiveSegment):
-    """Ten-minute window means of the eight signals of one active segment.
+def _window_means(segments):
+    """Ten-minute window means of the eight signals of many active segments.
 
-    The segment is resampled onto a uniform grid, and each signal is
-    computed once over the whole grid: smoothed latitude and longitude,
-    speed, speed derivative, curvature, raw curvature (of the smoothed
-    positions, with no further smoothing), shore distance and port
-    distance. Samples fall into consecutive ``VESSEL_WINDOW_SECONDS``
-    windows from the segment start, the last of which may be partial.
-    Window indices never decrease along the grid, so each window is a
-    contiguous slice and is read once.
+    The segments are laid end to end and computed in one array pass. Each
+    one's distinct timestamps are resampled onto a uniform grid of at least
+    as many samples, at least one per window plus one, and at least 4. The
+    signals are smoothed latitude and longitude, speed, speed derivative,
+    curvature, raw curvature (of the smoothed positions, with no further
+    smoothing), shore distance and port distance; smoothing and differences
+    treat each segment's first and last samples as endpoints, so they equal
+    the segment's signals computed alone. Windows of
+    ``VESSEL_WINDOW_SECONDS`` run from each segment's start; the last may
+    be partial. A segment that spans no time has none.
 
-    Returns an ``(8, windows)`` array with rows in that order, or ``None``
-    when the segment spans no time.
+    Returns the ``(8, windows)`` means, rows in that order and each
+    segment's windows in turn, and each segment's window count.
     """
-    # Deduplicate repeated timestamps so interpolation is well defined.
-    t, keep = np.unique(segment.timestamps, return_index=True)
-    if t.size < 2 or t[-1] - t[0] <= 0:
-        return None
-    channels = np.column_stack([
-        segment.lats[keep], segment.lons[keep],
-        segment.shore_distances[keep], segment.port_distances[keep]])
-    ts = TimeSeries(t, channels)
-    duration = ts.duration
-    # Sample finely enough to resolve the averaging windows without ever
-    # dropping below the native resolution.
-    m = max(ts.n_samples, int(np.ceil(duration / VESSEL_WINDOW_SECONDS)) + 1, 4)
-    us_all = resample_uniform(ts, min_samples=m)
-    pos = UniformSeries(us_all.start_time, us_all.step, us_all.values[:, :2])
+    counts = np.zeros(len(segments), dtype=int)
+    # Spans are never negative; a NaN one is kept, and rejected below.
+    live = np.flatnonzero([s.span != 0 for s in segments])
+    if not live.size:
+        return np.empty((8, 0)), counts
+    segments = [segments[i] for i in live]
+    seg = np.repeat(np.arange(live.size), [s.n_samples for s in segments])
+    t, *channels = (np.concatenate([getattr(s, name) for s in segments])
+                    for name in ("timestamps", "lats", "lons",
+                                 "shore_distances", "port_distances"))
+    knots = np.column_stack(channels)
+    same = seg[1:] == seg[:-1]
+    if (not (np.isfinite(t).all() and np.isfinite(knots).all())
+            or np.any(same & (t[1:] < t[:-1]))):
+        raise ValueError("segment timestamps must be finite and "
+                         "nondecreasing, and values finite")
+    keep = np.concatenate([[True], (t[1:] != t[:-1]) | ~same])
+    t, seg, knots = t[keep], seg[keep], knots[keep]  # first of repeated times
+    n = np.bincount(seg)
+    k_first = np.cumsum(n) - n
+    t0, t_end = t[k_first], t[k_first + n - 1]
+    duration = t_end - t0
+    m = np.maximum(np.maximum(n, np.ceil(duration / VESSEL_WINDOW_SECONDS)
+                              .astype(int) + 1), 4)
+    sid = np.repeat(np.arange(live.size), m)  # segment of each grid sample
+    first = np.cumsum(m) - m
+    last = first + m - 1
+    k = np.arange(sid.size) - first[sid]
+    step = (duration / (m - 1))[sid]
+    grid = k * step + t0[sid]  # as np.linspace computes it
+    grid[last] = t_end
+    # Complex numbers order by real part, then imaginary part, so a single
+    # search finds each grid time among its own segment's timestamps.
+    idx = np.searchsorted(seg + 1j * t, sid + 1j * grid, side="right")
+    values = _lerp(t, knots, np.clip(idx, k_first[sid] + 1,
+                                     k_first[sid] + n[sid] - 1), grid)
 
-    smooth = build_stack(pos, VESSEL_SMOOTHING_ITERATIONS)
-    raw = build_stack(smooth.base, 0)
-    # One C-contiguous row per signal: a row mean then sums pairwise over a
-    # contiguous axis, exactly as a mean over a 1-d copy of the window does.
-    signals = np.vstack([smooth.base.values.T, smooth.speed, smooth.speed_deriv,
-                         smooth.curvature, raw.curvature,
-                         us_all.values[:, 2:].T])
+    ends = np.concatenate([first, last])
+    h = step[:, None]
+    k_smooth = VESSEL_SMOOTHING_ITERATIONS
+    base = _smooth_runs(values[:, :2], k_smooth, ends)
+    xd = _smooth_runs(_diff_values(base, h, first, last), k_smooth, ends)
+    spd = speed(xd)
+    signals = np.array([
+        *base.T, spd,
+        _smooth_runs(_diff_values(spd, step, first, last), k_smooth, ends),
+        _smooth_runs(_turn_rate(xd, h, first, last), k_smooth, ends),
+        _turn_rate(_diff_values(base, h, first, last), h, first, last),
+        *values[:, 2:].T])
 
-    rel = us_all.step * np.arange(us_all.n_samples)
-    window_idx = np.minimum((rel / VESSEL_WINDOW_SECONDS).astype(int),
-                            max(int(duration // VESSEL_WINDOW_SECONDS), 0))
-    windows = np.split(signals, np.flatnonzero(np.diff(window_idx)) + 1, axis=1)
-    return np.stack([w.mean(axis=1) for w in windows], axis=1)
+    window = np.minimum((step * k / VESSEL_WINDOW_SECONDS).astype(int),
+                        (duration // VESSEL_WINDOW_SECONDS).astype(int)[sid])
+    new = np.ones(sid.size, dtype=bool)
+    new[1:] = window[1:] != window[:-1]
+    new[first] = True
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=sid.size)
+    means = np.empty((8, starts.size))
+    for size in np.unique(lengths):
+        # Windows of one length as C-contiguous rows, whose means sum
+        # pairwise, as the mean of a 1-d copy of each window does.
+        sel = np.flatnonzero(lengths == size)
+        rows = np.take(signals, starts[sel, None] + np.arange(size), axis=1)
+        means[:, sel] = rows.mean(axis=-1)
+    counts[live] = np.bincount(sid[starts], minlength=live.size)
+    return means, counts
+
+
+def _feature_rows(segment_sets, cfg: GeoStatConfig):
+    """Feature rows of segmented tracks and their column labels.
+
+    The window means of all tracks come from one :func:`_window_means` call.
+    """
+    means, counts = _window_means([a for s in segment_sets for a in s.active])
+    segment_bounds = np.cumsum([0] + [len(s.active) for s in segment_sets])
+    column_bounds = np.concatenate([[0], np.cumsum(counts)])[segment_bounds]
+    stat_names = cfg.summary.statistic_names
+    labels = ([(VESSEL_DISTRIBUTIONS[0], 0, s) for s in FRECHET_STATISTICS]
+              + [(d, 0, s) for d in VESSEL_DISTRIBUTIONS[1:] for s in stat_names])
+
+    rows = []
+    for seg, lo, hi in zip(segment_sets, column_bounds[:-1], column_bounds[1:]):
+        lat, lon, *pooled = means[:, lo:hi]
+        if lat.size:
+            (m_lat, m_lon), var = frechet_mean_variance(SphericalSample(
+                np.radians(lat), np.radians(lon)))
+            values = [np.degrees(m_lat), np.degrees(m_lon), var]
+        else:
+            values = [0.0, 0.0, 0.0]
+        durations = ([s.span for s in seg.active], seg.inactive_durations,
+                     seg.gap_durations)
+        for samples in pooled + [np.array(d) for d in durations]:
+            if samples.size:
+                values.extend(summarize(samples, cfg.summary).tolist())
+            else:
+                values.extend([0.0] * len(stat_names))
+        rows.append(np.array(values))
+    return rows, labels
 
 
 def vessel_features(seg: SegmentSet, cfg: GeoStatConfig):
@@ -456,49 +535,26 @@ def vessel_features(seg: SegmentSet, cfg: GeoStatConfig):
     order; position is summarized by its Frechet mean and variance.
     Distributions that are empty for this track (no active segments, no
     gaps, ...) produce all-zero summaries so every track yields the same
-    feature schema.
+    feature schema. This is the one-track case of
+    :func:`vessel_feature_matrix`.
 
     Returns ``(values, column_labels)``.
     """
-    means = [w for w in map(_segment_window_means, seg.active) if w is not None]
-    lat, lon, *pooled = np.hstack(means) if means else np.empty((8, 0))
-    durations = ([s.span for s in seg.active], seg.inactive_durations,
-                 seg.gap_durations)
-
-    if lat.size:
-        (m_lat, m_lon), var = frechet_mean_variance(SphericalSample(
-            np.radians(lat), np.radians(lon)))
-        values = [np.degrees(m_lat), np.degrees(m_lon), var]
-    else:
-        values = [0.0, 0.0, 0.0]
-    labels = [(VESSEL_DISTRIBUTIONS[0], 0, s) for s in FRECHET_STATISTICS]
-
-    stat_names = cfg.summary.statistic_names
-    for name, samples in zip(VESSEL_DISTRIBUTIONS[1:],
-                             pooled + [np.array(d) for d in durations],
-                             strict=True):
-        if samples.size:
-            values.extend(summarize(samples, cfg.summary).tolist())
-        else:
-            values.extend([0.0] * len(stat_names))
-        labels.extend((name, 0, s) for s in stat_names)
-    return np.array(values), labels
+    rows, labels = _feature_rows([seg], cfg)
+    return rows[0], labels
 
 
 def vessel_feature_matrix(tracks, cfg: GeoStatConfig) -> FeatureMatrix:
-    """Segment and featurize a collection of labeled tracks."""
+    """Segment and featurize a collection of labeled tracks.
+
+    Row ``i`` equals :func:`vessel_features` of track ``i``, but the window
+    means of all tracks' active segments are computed in one array pass.
+    """
     tracks = list(tracks)
     if not tracks:
         raise ValueError("no tracks to featurize")
-    rows = []
-    col_labels = None
-    for track in tracks:
-        seg = segment_vessel(track)
-        vec, labels = vessel_features(seg, cfg)
-        if col_labels is None:
-            col_labels = labels
-        rows.append(vec)
-    return FeatureMatrix(np.vstack(rows), tuple(col_labels),
+    rows, labels = _feature_rows([segment_vessel(t) for t in tracks], cfg)
+    return FeatureMatrix(np.vstack(rows), tuple(labels),
                          tuple(t.label for t in tracks))
 
 

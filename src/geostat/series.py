@@ -150,13 +150,17 @@ def interpolate_at(ts: TimeSeries, t) -> np.ndarray:
     # Right segment index for each query; clip so t == tn uses the last segment.
     idx = np.searchsorted(ts.timestamps, t_arr, side="right")
     idx = np.clip(idx, 1, ts.n_samples - 1)
-    lo = ts.timestamps[idx - 1]
-    hi = ts.timestamps[idx]
-    frac = ((t_arr - lo) / (hi - lo))[:, None]
-    out = ts.values[idx - 1] + frac * (ts.values[idx] - ts.values[idx - 1])
+    out = _lerp(ts.timestamps, ts.values, idx, t_arr)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return out[0]
     return out
+
+
+def _lerp(knots, values, idx, t) -> np.ndarray:
+    """Interpolate at times ``t`` between knots ``idx - 1`` and ``idx``."""
+    lo = knots[idx - 1]
+    frac = ((t - lo) / (knots[idx] - lo))[:, None]
+    return values[idx - 1] + frac * (values[idx] - values[idx - 1])
 
 
 def resample_uniform(ts: TimeSeries, min_samples: int = 500) -> UniformSeries:
@@ -190,11 +194,23 @@ def smooth_values(values: np.ndarray, iterations: int) -> np.ndarray:
     coordinate-wise for multi-dimensional input. Zero iterations is the
     identity. Constants and linear ramps are fixed points.
     """
+    return _smooth_runs(values, iterations, slice(0))  # no joins to hold
+
+
+def _smooth_runs(values, iterations: int, ends) -> np.ndarray:
+    """:func:`smooth_values` of many series laid end to end along axis 0.
+
+    ``ends`` indexes the first and last sample of every series. A step also
+    averages across the joins, so those samples are put back after each
+    step; one series needs no ``ends``, as the step never writes its own.
+    """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     out = np.array(values, dtype=float, copy=True)
+    fixed = out[ends]
     for _ in range(iterations):
         out[1:-1] = 0.5 * (out[:-2] + out[2:])
+        out[ends] = fixed
     return out
 
 

@@ -140,29 +140,58 @@ class TestNested:
         assert (out / "nested_summary_binary.csv").exists()
 
     def test_nested_on_vessel_csv(self, tmp_path):
-        data = tmp_path / "vessels"
-        data.mkdir()
-        rng = np.random.default_rng(0)
-        lines = ["mmsi,timestamp,lat,lon,speed,distance_from_shore,"
-                 "distance_from_port,label"]
-        for v in range(10):
-            label = "trawlers" if v % 2 == 0 else "reefers"
-            speed_moving = 4.0 + v * 0.3 if label == "trawlers" else 9.0 + v
-            t = 0.0
-            for i in range(12):
-                lines.append(f"{v},{t},{10 + 0.01 * i * (v + 1)},20.0,"
-                             f"{speed_moving},100,200,{label}")
-                t += 300.0
-            for i in range(4):
-                lines.append(f"{v},{t},{10.12},20.0,0.1,100,200,{label}")
-                t += 300.0 * (v % 3 + 1)
-        (data / "mixed.csv").write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
-        rc = run("nested", "--dataset", data, "--format", "vessel",
-                 "--out", out, "--models", "knn", "--repetitions", "1",
-                 "--folds", "5", "--seed", "4")
-        assert rc == 0
-        assert (out / "nested_summary.csv").exists()
+        assert run_vessel_nested(tmp_path, vessel_lines()) == 0
+        assert (tmp_path / "out" / "nested_summary.csv").exists()
+
+
+def vessel_lines():
+    """Header and rows of ten two-class vessel tracks with stops."""
+    lines = ["mmsi,timestamp,lat,lon,speed,distance_from_shore,"
+             "distance_from_port,label"]
+    for v in range(10):
+        label = "trawlers" if v % 2 == 0 else "reefers"
+        speed_moving = 4.0 + v * 0.3 if label == "trawlers" else 9.0 + v
+        t = 0.0
+        for i in range(12):
+            lines.append(f"{v},{t},{10 + 0.01 * i * (v + 1)},20.0,"
+                         f"{speed_moving},100,200,{label}")
+            t += 300.0
+        for i in range(4):
+            lines.append(f"{v},{t},{10.12},20.0,0.1,100,200,{label}")
+            t += 300.0 * (v % 3 + 1)
+    return lines
+
+
+def run_vessel_nested(root, lines, name="out"):
+    data = root / f"{name}-data"
+    data.mkdir()
+    (data / "mixed.csv").write_text("\n".join(lines) + "\n")
+    return run("nested", "--dataset", data, "--format", "vessel",
+               "--out", root / name, "--models", "knn", "--repetitions", "1",
+               "--folds", "5", "--seed", "4")
+
+
+class TestVesselRows:
+    def test_short_row_is_skipped(self, tmp_path, capsys):
+        lines = vessel_lines()
+        assert run_vessel_nested(tmp_path, lines, "clean") == 0
+        # A row with fewer fields than the header, at the top and inside.
+        short = lines[:1] + ["1,0,1,1,5,1,1"] + lines[1:20] + ["3,600"]
+        assert run_vessel_nested(tmp_path, short + lines[20:], "short") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        for name in ("nested_summary.csv", "nested_folds.csv",
+                     "confusion_knn.csv"):
+            assert ((tmp_path / "short" / name).read_bytes()
+                    == (tmp_path / "clean" / name).read_bytes())
+
+    def test_oversized_field_is_an_error(self, tmp_path, capsys):
+        lines = vessel_lines()
+        lines[3] = lines[3].replace("trawlers", '"' + "x" * 140_000 + '"')
+        assert run_vessel_nested(tmp_path, lines) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert "mixed.csv:4: field larger than field limit" in err
 
 
 class TestNotes:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from geostat.geometry import (
+    _diff_values,
     build_stack,
     curvature_magnitude,
-    finite_difference,
     signed_curvature,
     speed,
 )
@@ -13,6 +13,11 @@ from geostat.series import TimeSeries, UniformSeries, resample_uniform
 
 def uniform(values, step=1.0):
     return UniformSeries(0.0, step, np.asarray(values, dtype=float))
+
+
+def diff(us):
+    """The numerical derivative of a uniform series, on the same grid."""
+    return us.with_values(_diff_values(us.values, us.step))
 
 
 def parabola_stack(t_lo, t_hi, n, sign=1.0, smoothing=0):
@@ -24,26 +29,41 @@ def parabola_stack(t_lo, t_hi, n, sign=1.0, smoothing=0):
 class TestFiniteDifference:
     def test_linear_ramp_exact(self):
         us = uniform([0, 2, 4, 6, 8])
-        np.testing.assert_allclose(finite_difference(us).values[:, 0], 2.0)
+        np.testing.assert_allclose(diff(us).values[:, 0], 2.0)
 
     def test_constant_is_zero(self):
         us = uniform([7, 7, 7, 7])
-        np.testing.assert_allclose(finite_difference(us).values[:, 0], 0.0)
+        np.testing.assert_allclose(diff(us).values[:, 0], 0.0)
 
     def test_hand_values(self):
         us = uniform([0, 1, 4])
-        np.testing.assert_allclose(finite_difference(us).values[:, 0],
-                                   [1, 2, 3])
+        np.testing.assert_allclose(diff(us).values[:, 0], [1, 2, 3])
 
     def test_quadratic_exact_at_interior(self):
         t = np.arange(9.0)
         us = uniform(3 * t**2 - 2 * t + 1)
-        fd = finite_difference(us).values[:, 0]
+        fd = diff(us).values[:, 0]
         np.testing.assert_allclose(fd[1:-1], (6 * t - 2)[1:-1], atol=1e-10)
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             UniformSeries(0.0, 1.0, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            _diff_values(np.array([1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["1-d", "2-d"])
+    def test_series_end_to_end_match_each_alone(self, shape):
+        rng = np.random.default_rng(8)
+        parts = [(rng.normal(size=(n,) + shape), step)
+                 for n, step in ((5, 0.3), (3, 2.0), (7, 1.0), (4, 0.1))]
+        sizes = np.array([len(v) for v, _ in parts])
+        first = np.cumsum(sizes) - sizes
+        step = np.repeat([h for _, h in parts], sizes)
+        got = _diff_values(np.concatenate([v for v, _ in parts]),
+                           step.reshape((-1,) + (1,) * len(shape)),
+                           first, first + sizes - 1)
+        want = np.concatenate([_diff_values(v, h) for v, h in parts])
+        assert np.array_equal(got, want)
 
 
 class TestSpeed:
@@ -84,8 +104,8 @@ class TestCurvature:
 
     def test_signed_curvature_of_line_zero(self):
         us = uniform(np.arange(8.0))
-        xd = finite_difference(us)
-        xdd = finite_difference(xd)
+        xd = diff(us)
+        xdd = diff(xd)
         np.testing.assert_allclose(signed_curvature(xd, xdd)[1:-1], 0.0,
                                    atol=1e-12)
 
@@ -97,8 +117,8 @@ class TestCurvature:
     def test_magnitude_equals_abs_signed(self):
         rng = np.random.default_rng(3)
         us = uniform(rng.normal(size=30), step=0.1)
-        xd = finite_difference(us)
-        xdd = finite_difference(xd)
+        xd = diff(us)
+        xdd = diff(xd)
         np.testing.assert_allclose(curvature_magnitude(xd, xdd),
                                    np.abs(signed_curvature(xd, xdd)))
 
@@ -134,7 +154,7 @@ class TestBuildStack:
         stack = build_stack(us, 0)
         np.testing.assert_array_equal(stack.base.values, us.values)
         np.testing.assert_array_equal(stack.first_deriv.values,
-                                      finite_difference(us).values)
+                                      diff(us).values)
 
     def test_sine_wave_against_analytic(self):
         t = np.linspace(0, 2 * np.pi, 1000)

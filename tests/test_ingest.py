@@ -160,6 +160,24 @@ def moving_segment(t, seed=0):
                          tr.shore_distances, tr.port_distances)
 
 
+def window_means(segments):
+    """Per-segment window means from one batched pass (None: no windows)."""
+    means, counts = ingest._window_means(list(segments))
+    parts = np.split(means, np.cumsum(counts)[:-1], axis=1)
+    return [part if c else None for part, c in zip(parts, counts)]
+
+
+def assert_match_references(segments):
+    got = window_means(segments)
+    assert len(got) == len(segments)
+    for seg, g in zip(segments, got):
+        want = reference_window_means(seg)
+        assert (g is None) == (want is None)
+        if want is not None:
+            assert g.shape == want.shape
+            assert np.array_equal(g, want)
+
+
 SEGMENT_CASES = {
     "repeated-timestamps": [0.0, 300.0, 300.0, 600.0, 600.0, 900.0, 1500.0],
     "exact-multiple-of-window": 300.0 * np.arange(9),  # 2400 s, 4 windows
@@ -167,6 +185,11 @@ SEGMENT_CASES = {
     "partial-last-window": 270.0 * np.arange(12),  # 2970 s: 4 full + 570 s
     "one-long-step": [0.0, 60.0, 120.0, 4000.0],
     "all-same-time": [5.0, 5.0, 5.0, 5.0],
+    # 600-sample windows: long rows are summed pairwise in blocks.
+    "dense-sampling": np.arange(1500.0),
+    # start + (m - 1) * step misses the last timestamp; the grid ends on it.
+    "inexact-grid-end": [548.8, 591.7, 1443.8, 1466.5, 1736.3, 2402.8,
+                         2424.4, 2889.1, 2966.1],
 }
 
 
@@ -174,14 +197,7 @@ class TestArrayVesselPath:
     @pytest.mark.parametrize("t", list(SEGMENT_CASES.values()),
                              ids=list(SEGMENT_CASES))
     def test_window_means_match_masked_reference(self, t):
-        seg = moving_segment(t, seed=len(t))
-        got = ingest._segment_window_means(seg)
-        want = reference_window_means(seg)
-        if want is None:
-            assert got is None
-        else:
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+        assert_match_references([moving_segment(t, seed=len(t))])
 
     @pytest.mark.parametrize("case, windows", [
         ("shorter-than-window", 1),
@@ -190,20 +206,54 @@ class TestArrayVesselPath:
         ("exact-multiple-of-window", 5),
     ])
     def test_window_count(self, case, windows):
-        seg = moving_segment(SEGMENT_CASES[case])
-        assert ingest._segment_window_means(seg).shape == (8, windows)
+        got, = window_means([moving_segment(SEGMENT_CASES[case])])
+        assert got.shape == (8, windows)
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reversed"])
+    def test_all_cases_in_one_batch(self, reverse):
+        # Every kind of segment boundary sits next to every other one.
+        segments = [moving_segment(t, seed=len(t))
+                    for t in SEGMENT_CASES.values()]
+        assert_match_references(segments[::-1] if reverse else segments)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_tracks_match_references(self, seed):
         track = random_track(seed)
         seg = segment_vessel(track)
         assert_same_segments(seg, reference_segment_vessel(track))
-        for active in seg.active:
-            got = ingest._segment_window_means(active)
-            want = reference_window_means(active)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert np.array_equal(got, want)
+        assert_match_references(seg.active)
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reversed"])
+    def test_random_segments_in_one_batch(self, reverse):
+        segments = [a for seed in range(40)
+                    for a in segment_vessel(random_track(seed)).active]
+        assert len(segments) > 40
+        assert_match_references(segments[::-1] if reverse else segments)
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("lats", 3, np.nan), ("port_distances", 0, np.inf),
+        ("timestamps", 0, np.nan), ("timestamps", 3, 5000.0)])
+    def test_bad_segment_rejected(self, field, index, value):
+        seg = moving_segment(SEGMENT_CASES["partial-last-window"])
+        arrays = {name: getattr(seg, name).copy() for name in (
+            "timestamps", "lats", "lons", "shore_distances",
+            "port_distances")}
+        arrays[field][index] = value
+        with pytest.raises(ValueError, match="finite and nondecreasing"):
+            ingest._window_means([seg, ActiveSegment(**arrays)])
+
+    def test_matrix_rows_equal_single_track_features(self):
+        cfg = vessel_cfg()
+        tracks = [random_track(seed) for seed in range(40)]
+        tracks += [make_track([(12, 0.1)]),  # no active segment
+                   make_track([(20, 5.0), (6, 0.1), (12, 3.0)])]
+        fm = vessel_feature_matrix(tracks, cfg)
+        for track, row in zip(tracks, fm.rows, strict=True):
+            want, labels = vessel_features(segment_vessel(track), cfg)
+            assert np.array_equal(row, want)
+        assert fm.column_labels == tuple(labels)
 
     @pytest.mark.parametrize("t, speeds", [
         ([0.0, 5400.0, 5700.0, 6000.0, 6300.0, 6600.0], [5.0] * 6),

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from geostat.series import (
     TimeSeries,
     UniformSeries,
+    _smooth_runs,
     equalize_lengths,
     interpolate_at,
     laplacian_smooth,
     resample_uniform,
+    smooth_values,
 )
 
 
@@ -158,6 +160,18 @@ class TestLaplacianSmooth:
         tv = np.abs(np.diff(x)).sum()
         tv_out = np.abs(np.diff(out)).sum()
         assert tv_out <= tv + 1e-9
+
+    @given(st.lists(st.lists(st.floats(-100, 100), min_size=3, max_size=12),
+                    min_size=1, max_size=5),
+           st.integers(0, 10))
+    @settings(max_examples=50)
+    def test_series_end_to_end_match_each_alone(self, parts, iterations):
+        sizes = np.array([len(p) for p in parts])
+        first = np.cumsum(sizes) - sizes
+        got = _smooth_runs(np.concatenate(parts), iterations,
+                           np.concatenate([first, first + sizes - 1]))
+        want = np.concatenate([smooth_values(p, iterations) for p in parts])
+        assert np.array_equal(got, want)
 
 
 class TestEqualizeLengths:
