@@ -14,7 +14,8 @@ runs bit-reproducible regardless of scheduling. Grid search works fold by
 fold: each KNN fold sorts its neighbours once per Minkowski p for all
 (k, weights) points, and every binary SVM problem of the search is solved
 in one lockstep batch, with the same results as fitting each grid point on
-its own.
+its own. Nested cross-validation batches the searches of all its outer
+folds, and then their SVM refits, the same way.
 """
 
 from __future__ import annotations
@@ -526,7 +527,7 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
     """
     pts, labels = _training_data(points, labels)
     ((model,),) = _svm_fit_many(pts, labels, [np.arange(pts.shape[0])],
-                                [params], tol, max_steps)
+                                [[params]], tol, max_steps)
     if isinstance(model, ValueError):
         raise model
     return model
@@ -546,23 +547,24 @@ def _pair_kernel(points, members, kernel: str, gamma: float) -> np.ndarray:
     return kernel_matrix(sub, sub, kernel, gamma)
 
 
-def _svm_fit_many(pts, labels, folds, params_list, tol: float = 1e-3,
+def _svm_fit_many(pts, labels, folds, params_lists, tol: float = 1e-3,
                   max_steps=None):
-    """``svm_fit`` for every parameter point on every training fold at once.
+    """``svm_fit`` for parameter points on many training folds at once.
 
-    ``pts`` and ``labels`` are as ``_training_data`` returns them, and
-    ``folds`` holds arrays of the row indices that each fold trains on.
-    Each class pair's kernel is built once per kernel type and shared by
-    the points that differ only in C, and every binary problem is solved by
-    one lockstep call. Yields, per fold, an iterator over the points of the
-    model ``svm_fit`` would return or the ``ValueError`` it would raise.
-    Models are assembled one at a time, as they are read, because each
-    holds copies of its support vectors.
+    ``pts`` and ``labels`` are as ``_training_data`` returns them, ``folds``
+    holds arrays of the row indices that each fold trains on, and
+    ``params_lists`` the parameter points to fit on each fold. Each class
+    pair's kernel is built once per fold and kernel type and shared by the
+    points that differ only in C, and every binary problem of every fold is
+    solved by one lockstep call. Yields, per fold, an iterator over its
+    points of the model ``svm_fit`` would return or the ``ValueError`` it
+    would raise. Models are assembled one at a time, as they are read,
+    because each holds copies of its support vectors.
     """
     kernels = []
     problems = []
     fits = []
-    for rows in folds:
+    for rows, params_list in zip(folds, params_lists):
         fold_labels = labels[rows]
         classes = sorted_classes(fold_labels)
         if len(classes) < 2:
@@ -591,7 +593,8 @@ def _svm_fit_many(pts, labels, folds, params_list, tol: float = 1e-3,
         fits.append((classes, pairs, plans))
     results = _smo_lockstep(kernels, problems, tol)
 
-    def assemble(classes, pairs, params, gamma, start):
+    def assemble(classes, pairs, plan):
+        params, gamma, start = plan
         binary = []
         notes = []
         smo_steps = 0
@@ -612,12 +615,13 @@ def _svm_fit_many(pts, labels, folds, params_list, tol: float = 1e-3,
         return SVMModel(tuple(classes), tuple(binary), params, gamma,
                         not notes, smo_steps, tuple(notes))
 
-    for fit in fits:
+    for fit, params_list in zip(fits, params_lists):
         if fit is None:
             yield [ValueError("need at least two classes")] * len(params_list)
         else:
             classes, pairs, plans = fit
-            yield (assemble(classes, pairs, *plan) for plan in plans)
+            # Bound now, so that folds may be read after later ones.
+            yield map(functools.partial(assemble, classes, pairs), plans)
 
 
 def svm_predict(model: SVMModel, queries) -> np.ndarray:
@@ -727,7 +731,26 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
     The search runs fold by fold and gives the scores of fitting each point
     on its own: per fold, the KNN points sort the neighbours once per
     Minkowski p, and the SVM points of all folds share their class-pair
-    kernels across C and are solved in one lockstep batch.
+    kernels across C and are solved in one lockstep batch. It is the
+    one-search case of the batch of searches that ``nested_cv`` runs.
+    """
+    pts, labels = _training_data(points, labels)
+    (result,) = _search_many(pts, labels, [(np.arange(pts.shape[0]), k, seed)],
+                             grid)
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def _search_many(pts, labels, searches, grid) -> list:
+    """``grid_search_cv`` on many ``(rows, k, seed)`` searches at once.
+
+    ``rows`` holds ascending row numbers of ``pts``, as ``_training_data``
+    returns it, and folds index ``pts`` by those numbers. Each search
+    scores its KNN points fold by fold; the SVM points of every fold of
+    every search are solved in one lockstep call. Returns, per search,
+    ``(best_params, best_score)`` or the ``ValueError`` for a search with
+    no feasible point; an invalid ``k`` raises at once.
     """
     grid = list(grid)
     if not grid:
@@ -736,22 +759,19 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
         if not isinstance(params, (KNNParams, SVMParams)):
             raise TypeError(
                 f"unsupported parameter type {type(params).__name__}")
-    pts, labels = _training_data(points, labels)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        folds = kfold_splits(labels, k, seed)
-    all_idx = np.arange(pts.shape[0])
-    splits = []
-    for fold in folds:
-        train_mask = np.ones(pts.shape[0], dtype=bool)
-        train_mask[fold] = False
-        splits.append((all_idx[train_mask], fold))
+    splits = []  # (search, training rows, validation rows)
+    for s, (rows, k, seed) in enumerate(searches):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            folds = kfold_splits(labels[rows], k, seed)
+        splits += [(s, np.delete(rows, fold), rows[fold]) for fold in folds]
 
-    # Validation accuracies per grid point; None once a fold is infeasible.
-    scores = [[] for _ in grid]
+    # Validation accuracies per search and grid point; None once a fold is
+    # infeasible.
+    scores = [[[] for _ in grid] for _ in searches]
     knn = [(g, params) for g, params in enumerate(grid)
            if isinstance(params, KNNParams)]
-    for train, fold in splits:
+    for s, train, fold in splits:
         classes = sorted_classes(labels[train])
         class_names = np.array(classes, dtype=object)
         class_index = {c: i for i, c in enumerate(classes)}
@@ -759,10 +779,10 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
         for p in sorted({params.p for _, params in knn}):
             points_p = []
             for g, params in knn:
-                if params.p != p or scores[g] is None:
+                if params.p != p or scores[s][g] is None:
                     continue
                 if params.n_neighbors > train.size:
-                    scores[g] = None
+                    scores[s][g] = None
                 else:
                     points_p.append((g, (params.n_neighbors, params.weights)))
             if not points_p:
@@ -772,34 +792,30 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
             winners = _knn_votes(dist, order, train_class, len(classes),
                                  [point for _, point in points_p])
             for g, point in points_p:
-                scores[g].append(
+                scores[s][g].append(
                     accuracy(labels[fold], class_names[winners[point]]))
 
     svm = [(g, params) for g, params in enumerate(grid)
            if isinstance(params, SVMParams)]
     if svm:
-        fits = _svm_fit_many(pts, labels, [train for train, _ in splits],
-                             [params for _, params in svm])
-        for (_, fold), models in zip(splits, fits):
+        fits = _svm_fit_many(pts, labels, [train for _, train, _ in splits],
+                             [[params for _, params in svm]] * len(splits))
+        for (s, _, fold), models in zip(splits, fits):
             for (g, _), model in zip(svm, models):
                 if isinstance(model, ValueError):
-                    scores[g] = None
-                elif scores[g] is not None:
+                    scores[s][g] = None
+                elif scores[s][g] is not None:
                     pred = svm_predict(model, pts[fold])
-                    scores[g].append(accuracy(labels[fold], pred))
+                    scores[s][g].append(accuracy(labels[fold], pred))
 
-    best_params = None
-    best_score = -np.inf
-    for params, point_scores in zip(grid, scores):
-        if point_scores is None:
-            continue
-        score = float(np.mean(point_scores))
-        if score > best_score:
-            best_score = score
-            best_params = params
-    if best_params is None:
-        raise ValueError("no grid point was feasible for this data")
-    return best_params, best_score
+    results = []
+    for search_scores in scores:
+        feasible = [(params, float(np.mean(v)))
+                    for params, v in zip(grid, search_scores) if v is not None]
+        # max keeps the first of equal scores, the earliest grid entry.
+        results.append(max(feasible, key=lambda e: e[1]) if feasible else
+                       ValueError("no grid point was feasible for this data"))
+    return results
 
 
 @dataclass(frozen=True)
@@ -845,29 +861,45 @@ def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,
     the hyperparameters the inner grid search picked there. Per-fold seeds
     are derived from the master seed so parallel and serial evaluation of
     folds agree bit-for-bit.
+
+    The SVM problems of all outer folds' inner searches are solved in one
+    lockstep call and their SVM refits in a second; results and errors are
+    those of running the folds one after another.
     """
-    pts = np.asarray(points, dtype=float)
-    labels = np.asarray([str(v) for v in labels], dtype=object)
+    pts, labels = _training_data(points, labels)
     classes = tuple(sorted_classes(labels))
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     seeds = ss.spawn(outer_k + 1)
     folds = kfold_splits(labels, outer_k, seeds[0])
-    all_idx = np.arange(pts.shape[0])
+    trains = [np.delete(np.arange(pts.shape[0]), holdout) for holdout in folds]
+    # Training sets grow with the fold index, so an inner k too large for
+    # one fails on fold 0 first, as in a fold-by-fold loop.
+    searches = _search_many(pts, labels, [
+        (train, inner_k, seeds[f + 1]) for f, train in enumerate(trains)], grid)
+    # Folds after the first failed search are never refit.
+    failed = next((f for f, r in enumerate(searches)
+                   if isinstance(r, ValueError)), len(folds))
+    chosen = [params for params, _ in searches[:failed]]
+    svm_folds = [f for f, params in enumerate(chosen)
+                 if isinstance(params, SVMParams)]
+    refits = dict(zip(svm_folds, _svm_fit_many(
+        pts, labels, [trains[f] for f in svm_folds],
+        [[chosen[f]] for f in svm_folds])))
     fold_acc = []
-    chosen = []
     notes = []
     pooled = np.zeros((len(classes), len(classes)), dtype=int)
-    for f, holdout in enumerate(folds):
-        train_mask = np.ones(pts.shape[0], dtype=bool)
-        train_mask[holdout] = False
-        train_idx = all_idx[train_mask]
-        params, _ = grid_search_cv(pts[train_idx], labels[train_idx], grid,
-                                   k=inner_k, seed=seeds[f + 1])
-        model = fit_model(pts[train_idx], labels[train_idx], params)
+    for f, (train, holdout) in enumerate(zip(trains, folds)):
+        if f == failed:
+            raise searches[f]
+        if f in refits:
+            (model,) = refits[f]
+            if isinstance(model, ValueError):
+                raise model
+        else:
+            model = fit_model(pts[train], labels[train], chosen[f])
         pred = predict_model(model, pts[holdout])
         fold_acc.append(accuracy(labels[holdout], pred))
-        chosen.append(params)
         notes.append(model.warnings if isinstance(model, SVMModel) else ())
         _, mat = confusion_matrix(labels[holdout], pred, classes)
         pooled += mat

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -97,7 +97,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _print_notes(where: str, notes) -> None:
-    """Report a refit model's warnings on stderr; result files omit them."""
+    """Report warnings of a run or refit on stderr; result files omit them."""
     for note in notes:
         print(f"note: {where}: {note}", file=sys.stderr)
 
@@ -106,6 +106,8 @@ def _run_tasks(worker, tasks, jobs: int) -> list:
     """Run tasks (picklable argument tuples) and return results in task order."""
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # Imported here: importing the pool costs every command 10-20 ms.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
 
@@ -279,11 +281,14 @@ def _nested_task(args):
     normed, _, _, _ = features.z_normalize(fm)
     seed = np.random.SeedSequence(list(seed_entropy))
     grid = classify.default_grid(model)
-    report = classify.nested_cv(normed.rows, normed.labels, grid,
-                                outer_k=folds, inner_k=folds, seed=seed)
+    # Warnings, such as an unstratified outer split, become notes.
+    with warnings.catch_warnings(record=True) as caught:
+        report = classify.nested_cv(normed.rows, normed.labels, grid,
+                                    outer_k=folds, inner_k=folds, seed=seed)
     return (report.fold_accuracies,
             tuple(p.tag() for p in report.chosen_params),
-            report.classes, report.confusion, report.notes)
+            report.classes, report.confusion, report.notes,
+            tuple(str(w.message) for w in caught))
 
 
 def _run_nested(cfg: RunConfig, fm: FeatureMatrix, suffix: str = "") -> None:
@@ -301,14 +306,15 @@ def _run_nested(cfg: RunConfig, fm: FeatureMatrix, suffix: str = "") -> None:
     summary_rows = []
     for model in cfg.models:
         iteration_means = []
-        for (m, it), (fold_acc, tags, _, _, notes) in zip(keys, results):
+        for (m, it), (accs, tags, _, _, notes, warned) in zip(keys, results):
             if m != model:
                 continue
+            _print_notes(f"{model}{suffix} iteration {it}", warned)
             for f, fold_notes in enumerate(notes):
                 _print_notes(f"{model}{suffix} iteration {it} fold {f}",
                              fold_notes)
-            iteration_means.append(float(np.mean(fold_acc)))
-            for f, (acc, tag) in enumerate(zip(fold_acc, tags)):
+            iteration_means.append(float(np.mean(accs)))
+            for f, (acc, tag) in enumerate(zip(accs, tags)):
                 fold_rows.append([model, it, f, _fmt(acc), tag])
         summary_rows.append([
             model.upper(), _fmt(min(iteration_means)), _fmt(max(iteration_means)),

@@ -484,7 +484,7 @@ def _window_means(segments):
     starts = np.flatnonzero(new)
     lengths = np.diff(starts, append=sid.size)
     means = np.empty((8, starts.size))
-    for size in np.unique(lengths):
+    for size in np.flatnonzero(np.bincount(lengths)):
         # Windows of one length as C-contiguous rows, whose means sum
         # pairwise, as the mean of a 1-d copy of each window does.
         sel = np.flatnonzero(lengths == size)
@@ -497,7 +497,9 @@ def _window_means(segments):
 def _feature_rows(segment_sets, cfg: GeoStatConfig):
     """Feature rows of segmented tracks and their column labels.
 
-    The window means of all tracks come from one :func:`_window_means` call.
+    The window means of all tracks come from one :func:`_window_means` call,
+    and the distributions of all tracks are summarized with one
+    ``summarize`` call per length, as C-contiguous rows.
     """
     means, counts = _window_means([a for s in segment_sets for a in s.active])
     segment_bounds = np.cumsum([0] + [len(s.active) for s in segment_sets])
@@ -506,23 +508,24 @@ def _feature_rows(segment_sets, cfg: GeoStatConfig):
     labels = ([(VESSEL_DISTRIBUTIONS[0], 0, s) for s in FRECHET_STATISTICS]
               + [(d, 0, s) for d in VESSEL_DISTRIBUTIONS[1:] for s in stat_names])
 
-    rows = []
-    for seg, lo, hi in zip(segment_sets, column_bounds[:-1], column_bounds[1:]):
-        lat, lon, *pooled = means[:, lo:hi]
-        if lat.size:
+    # Empty distributions keep all-zero summaries; summaries is a view.
+    rows = np.zeros((len(segment_sets), len(labels)))
+    summaries = rows[:, 3:].reshape(len(segment_sets), -1, len(stat_names))
+    groups = {}  # length -> [(track, distribution, samples)]
+    for i, (seg, lo, hi) in enumerate(zip(segment_sets, column_bounds[:-1],
+                                          column_bounds[1:])):
+        if hi > lo:
             (m_lat, m_lon), var = frechet_mean_variance(SphericalSample(
-                np.radians(lat), np.radians(lon)))
-            values = [np.degrees(m_lat), np.degrees(m_lon), var]
-        else:
-            values = [0.0, 0.0, 0.0]
+                np.radians(means[0, lo:hi]), np.radians(means[1, lo:hi])))
+            rows[i, :3] = np.degrees(m_lat), np.degrees(m_lon), var
         durations = ([s.span for s in seg.active], seg.inactive_durations,
                      seg.gap_durations)
-        for samples in pooled + [np.array(d) for d in durations]:
-            if samples.size:
-                values.extend(summarize(samples, cfg.summary).tolist())
-            else:
-                values.extend([0.0] * len(stat_names))
-        rows.append(np.array(values))
+        for d, x in enumerate([*means[2:, lo:hi], *map(np.array, durations)]):
+            if x.size:
+                groups.setdefault(x.size, []).append((i, d, x))
+    for group in groups.values():
+        track, dist, xs = zip(*group)
+        summaries[track, dist] = summarize(np.array(xs), cfg.summary)
     return rows, labels
 
 
@@ -554,7 +557,7 @@ def vessel_feature_matrix(tracks, cfg: GeoStatConfig) -> FeatureMatrix:
     if not tracks:
         raise ValueError("no tracks to featurize")
     rows, labels = _feature_rows([segment_vessel(t) for t in tracks], cfg)
-    return FeatureMatrix(np.vstack(rows), tuple(labels),
+    return FeatureMatrix(rows, tuple(labels),
                          tuple(t.label for t in tracks))
 
 

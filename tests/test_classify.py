@@ -280,6 +280,46 @@ def reference_grid_search(points, labels, grid, k=10, seed=0):
     return best_params, best_score
 
 
+def reference_nested_cv(points, labels, grid, outer_k=10, inner_k=10, seed=0):
+    """The earlier nested CV, one outer fold at a time: a grid search and a
+    refit per fold. ``nested_cv`` must return the same report and raise
+    the same errors."""
+    pts = np.asarray(points, dtype=float)
+    labels = np.asarray([str(v) for v in labels], dtype=object)
+    classes = tuple(sorted_classes(labels))
+    seeds = np.random.SeedSequence(seed).spawn(outer_k + 1)
+    folds = kfold_splits(labels, outer_k, seeds[0])
+    all_idx = np.arange(pts.shape[0])
+    fold_acc = []
+    chosen = []
+    notes = []
+    pooled = np.zeros((len(classes), len(classes)), dtype=int)
+    for f, holdout in enumerate(folds):
+        train_mask = np.ones(pts.shape[0], dtype=bool)
+        train_mask[holdout] = False
+        train_idx = all_idx[train_mask]
+        params, _ = grid_search_cv(pts[train_idx], labels[train_idx], grid,
+                                   k=inner_k, seed=seeds[f + 1])
+        model = fit_model(pts[train_idx], labels[train_idx], params)
+        pred = predict_model(model, pts[holdout])
+        fold_acc.append(accuracy(labels[holdout], pred))
+        chosen.append(params)
+        notes.append(model.warnings if isinstance(model, classify.SVMModel)
+                     else ())
+        _, mat = confusion_matrix(labels[holdout], pred, classes)
+        pooled += mat
+    return CVReport(tuple(fold_acc), tuple(chosen), classes, pooled,
+                    tuple(notes))
+
+
+def assert_same_report(got, want):
+    assert got.fold_accuracies == want.fold_accuracies
+    assert got.chosen_params == want.chosen_params
+    assert got.classes == want.classes
+    assert np.array_equal(got.confusion, want.confusion)
+    assert got.notes == want.notes
+
+
 def exact_match_problems():
     """(name, K, y, c, max_steps) covering every exit of the solver."""
     rng = np.random.default_rng(11)
@@ -868,6 +908,87 @@ class TestNestedCV:
         assert report.maximum == 0.9
         assert report.mean == pytest.approx(0.7)
         assert report.pooled_accuracy == pytest.approx(9 / 12)
+
+
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """Number of ``_smo_lockstep`` calls made."""
+    calls = []
+    solve = classify._smo_lockstep
+
+    def spy(kernels, problems, tol):
+        calls.append(len(problems))
+        return solve(kernels, problems, tol)
+
+    monkeypatch.setattr(classify, "_smo_lockstep", spy)
+    return calls
+
+
+GRIDS = pytest.mark.parametrize(
+    "grid", [default_knn_grid(), default_svm_grid(), MIXED_GRID],
+    ids=["knn", "svm", "mixed"])
+
+
+class TestNestedCVAgainstReference:
+    @GRIDS
+    def test_matches_fold_by_fold_loop(self, grid):
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            n_classes = int(rng.integers(2, 4))
+            x, y = make_blobs(int(rng.integers(6, 12)),
+                              [[c, 0.5 * c] for c in range(n_classes)],
+                              spread=float(rng.choice([0.4, 1.0, 2.0])),
+                              seed=int(rng.integers(1000)))
+            outer_k, inner_k = (int(v) for v in rng.integers(3, 6, size=2))
+            seed = int(rng.integers(1000))
+            assert_same_report(
+                nested_cv(x, y, grid, outer_k, inner_k, seed),
+                reference_nested_cv(x, y, grid, outer_k, inner_k, seed))
+
+    @GRIDS
+    def test_two_lockstep_calls_per_run(self, grid, lockstep_calls):
+        x, y = make_blobs(12, [0.0, 1.0, 2.0], spread=1.0, seed=8)
+        nested_cv(x, y, grid, outer_k=4, inner_k=3, seed=5)
+        batched = len(lockstep_calls)
+        lockstep_calls.clear()
+        report = reference_nested_cv(x, y, grid, outer_k=4, inner_k=3, seed=5)
+        svm_refits = sum(isinstance(p, SVMParams) for p in report.chosen_params)
+        if grid == default_knn_grid():
+            assert batched == len(lockstep_calls) == 0
+        else:
+            # A search and (for SVM winners) a refit per outer fold before.
+            assert len(lockstep_calls) == 4 + svm_refits
+            assert batched == 1 + (svm_refits > 0)
+        if grid == default_svm_grid():
+            assert batched == 2 and len(lockstep_calls) == 8
+
+    def test_capped_refits_report_the_same_notes(self, monkeypatch):
+        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        x, y = make_blobs(10, [0.0, 1.0, 2.0], spread=1.0, seed=12)
+        for grid in (default_svm_grid(), MIXED_GRID):
+            got = nested_cv(x, y, grid, outer_k=3, inner_k=3, seed=4)
+            assert_same_report(
+                got, reference_nested_cv(x, y, grid, outer_k=3, inner_k=3,
+                                         seed=4))
+            assert any(got.notes)
+
+    @pytest.mark.parametrize("grid, inner_k, message", [
+        # Outer training sets of 5 and 6 rows split in 2 inner folds train
+        # on 2 or 3 rows, so k = 3 is feasible only on the larger ones.
+        ((KNNParams(3),), 2, "no grid point was feasible"),
+        # Six inner folds fit only the 6-row outer training set.
+        ((KNNParams(1),), 6, "k=6 is invalid for 5 items"),
+    ], ids=["infeasible-search", "too-many-inner-folds"])
+    def test_failed_outer_fold_raises_the_same_error(self, grid, inner_k,
+                                                     message):
+        x, y = make_blobs(6, [0.0, 1.0], spread=1.0, seed=2)
+        x, y = x[:11], y[:11]
+        sizes = {11 - len(f) for f in kfold_splits(
+            y, 2, np.random.SeedSequence(3).spawn(3)[0])}
+        assert sizes == {5, 6}
+        for run in (nested_cv, reference_nested_cv):
+            with pytest.raises(ValueError, match=message):
+                run(x, y, grid, outer_k=2, inner_k=inner_k, seed=3)
 
 
 class TestConfusionMatrix:

@@ -212,6 +212,23 @@ class TestNotes:
         for name in os.listdir(tmp_path / "capped"):
             assert "note" not in (tmp_path / "capped" / name).read_text()
 
+    def test_nested_reports_unstratified_outer_split(self, tmp_path, capsys):
+        x, y = make_blobs(6, [0.0, 3.0], seed=4)
+        cols = tuple(("position", 0, f"s{i}") for i in range(x.shape[1]))
+        write_feature_csv(FeatureMatrix(x, cols, y), tmp_path / "features.csv")
+        out = tmp_path / "out"
+        assert run("nested", "--dataset", tmp_path, "--format", "features",
+                   "--models", "knn,svm", "--folds", "8", "--seed", "9",
+                   "--out", out) == 0
+        # One note per model and iteration, in place of a raw warning.
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: {model} iteration 0: smallest class has 6 members "
+            f"(< 8 folds); falling back to unstratified folds"
+            for model in ("knn", "svm")]
+        assert len(read_rows(out / "nested_folds.csv")) == 1 + 2 * 8
+        for name in os.listdir(out):
+            assert "smallest class" not in (out / name).read_text()
+
     def test_evaluate_reports_capped_refits(self, tiny_dataset, tmp_path,
                                             monkeypatch, capsys):
         monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)

@@ -30,7 +30,13 @@ from geostat.series import (
     laplacian_smooth,
     resample_uniform,
 )
-from geostat.stats import MULTIVARIATE_QUANTILES, SummaryConfig
+from geostat.stats import (
+    MULTIVARIATE_QUANTILES,
+    SphericalSample,
+    SummaryConfig,
+    frechet_mean_variance,
+    summarize,
+)
 
 
 def vessel_cfg():
@@ -119,6 +125,27 @@ def reference_window_means(segment):
         smooth.base.values[:, 0], smooth.base.values[:, 1], smooth.speed,
         smooth.speed_deriv, smooth.curvature, raw.curvature,
         us_all.values[:, 2], us_all.values[:, 3])])
+
+
+def reference_feature_row(seg, cfg):
+    """The earlier per-track features: one ``summarize`` call per
+    distribution of one track, zeros for an empty one."""
+    means, _ = ingest._window_means(list(seg.active))
+    lat, lon, *pooled = means
+    if lat.size:
+        (m_lat, m_lon), var = frechet_mean_variance(SphericalSample(
+            np.radians(lat), np.radians(lon)))
+        values = [np.degrees(m_lat), np.degrees(m_lon), var]
+    else:
+        values = [0.0, 0.0, 0.0]
+    durations = ([s.span for s in seg.active], seg.inactive_durations,
+                 seg.gap_durations)
+    for samples in pooled + [np.array(d) for d in durations]:
+        if samples.size:
+            values.extend(summarize(samples, cfg.summary).tolist())
+        else:
+            values.extend([0.0] * cfg.summary.size)
+    return np.array(values)
 
 
 def assert_same_segments(got, want):
@@ -254,6 +281,20 @@ class TestArrayVesselPath:
             want, labels = vessel_features(segment_vessel(track), cfg)
             assert np.array_equal(row, want)
         assert fm.column_labels == tuple(labels)
+
+    def test_matrix_rows_match_per_track_summaries(self):
+        cfg = vessel_cfg()
+        tracks = [random_track(seed) for seed in range(40)]
+        tracks += [make_track([(12, 0.1)]),  # no active segment
+                   make_track([(20, 5.0), (6, 0.1), (12, 3.0)],
+                              gap=300.0),  # no gaps
+                   make_track([(6, 5.0), (6, 0.1)], dt=60.0)]  # one window
+        segs = [segment_vessel(t) for t in tracks]
+        assert not segs[-3].active and not segs[-2].gap_durations
+        assert window_means(segs[-1].active)[0].shape == (8, 1)
+        fm = vessel_feature_matrix(tracks, cfg)
+        for seg, row in zip(segs, fm.rows, strict=True):
+            assert np.array_equal(row, reference_feature_row(seg, cfg))
 
     @pytest.mark.parametrize("t, speeds", [
         ([0.0, 5400.0, 5700.0, 6000.0, 6300.0, 6600.0], [5.0] * 6),
