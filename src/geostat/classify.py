@@ -10,17 +10,20 @@ deterministic.
 
 The harnesses (stratified k-fold splitting, grid search, nested
 cross-validation) derive every random stream from an explicit seed, making
-runs bit-reproducible regardless of scheduling. Grid search works fold by
-fold: each KNN fold sorts its neighbours once per Minkowski p for all
-(k, weights) points, and every binary SVM problem of the search is solved
+runs bit-reproducible regardless of scheduling. Labels become integer
+class codes once per call. One routine scores every split, the inner folds
+of a grid search and the refits of nested cross-validation alike: each
+split's KNN points sort its neighbours once per Minkowski p for all
+(k, weights) points, and every binary SVM problem of all splits is solved
 in one lockstep batch, with the same results as fitting each grid point on
-its own. Nested cross-validation batches the searches of all its outer
-folds, and then their SVM refits, the same way.
+its own. Split models vote over the full class list; a class with no
+training row in a split never wins there.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -186,8 +189,11 @@ def _knn_votes(dist, order, train_class, n_classes, points) -> dict:
     """
     rows = np.arange(dist.shape[0])
     counts = np.zeros((dist.shape[0], n_classes))
-    zero_counts = np.zeros_like(counts)
-    inverse = np.zeros_like(counts)
+    # A class with no training row starts below every vote, so it never
+    # wins, even where all inverse-distance votes are 0 (infinite distances).
+    counts[:, np.bincount(train_class, minlength=n_classes) == 0] = -1.0
+    zero_counts = counts.copy()
+    inverse = counts.copy()
     at_zero = (dist[rows, order[:, 0]] == 0.0)[:, None]
     wanted = {}
     for k, weights in points:
@@ -225,8 +231,7 @@ def knn_predict(model: KNNModel, queries) -> np.ndarray:
             f"dimension {model.points.shape[1]}")
     dist = _minkowski(q, model.points, model.params.p)
     order = np.argsort(dist, axis=1, kind="stable")
-    class_index = {c: i for i, c in enumerate(model.classes)}
-    train_class = np.array([class_index[l] for l in model.labels])
+    _, train_class = _encode(model.labels)
     point = (model.params.n_neighbors, model.params.weights)
     winners = _knn_votes(dist, order, train_class, len(model.classes),
                          [point])[point]
@@ -491,8 +496,8 @@ def _smo_block(Kt, which, y, c, caps, tol: float):
 
 @dataclass(frozen=True)
 class _BinarySVM:
-    pos_class: str
-    neg_class: str
+    pos: int  # class codes: indices into the model's classes
+    neg: int
     sv_points: np.ndarray
     sv_coef: np.ndarray  # alpha_i * y_i for the support vectors
     bias: float
@@ -525,21 +530,30 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
     cap or took a step too small to move alpha, the model carries a warning
     saying which in its metadata instead of failing.
     """
-    pts, labels = _training_data(points, labels)
-    ((model,),) = _svm_fit_many(pts, labels, [np.arange(pts.shape[0])],
+    pts, classes, codes = _training_data(points, labels)
+    ((model,),) = _svm_fit_many(pts, classes, codes, [np.arange(pts.shape[0])],
                                 [[params]], tol, max_steps)
     if isinstance(model, ValueError):
         raise model
     return model
 
 
+def _encode(labels):
+    """Distinct labels as strings in canonical order, and the integer code
+    of every label: its class's index in that order."""
+    names = [str(v) for v in labels]
+    classes = tuple(sorted_classes(names))
+    index = {c: i for i, c in enumerate(classes)}
+    return classes, np.array([index[v] for v in names], dtype=np.intp)
+
+
 def _training_data(points, labels):
-    """Points as a float array and labels as strings, one label per row."""
+    """Points as a float array, and ``_encode``'s classes and codes."""
     pts = np.asarray(points, dtype=float)
-    labels = np.array([str(v) for v in labels], dtype=object)
-    if pts.ndim != 2 or pts.shape[0] != labels.size:
+    classes, codes = _encode(labels)
+    if pts.ndim != 2 or pts.shape[0] != codes.size:
         raise ValueError("need a 2-d array of points with one label per row")
-    return pts, labels
+    return pts, classes, codes
 
 
 def _pair_kernel(points, members, kernel: str, gamma: float) -> np.ndarray:
@@ -547,36 +561,37 @@ def _pair_kernel(points, members, kernel: str, gamma: float) -> np.ndarray:
     return kernel_matrix(sub, sub, kernel, gamma)
 
 
-def _svm_fit_many(pts, labels, folds, params_lists, tol: float = 1e-3,
+def _svm_fit_many(pts, classes, codes, folds, params_lists, tol: float = 1e-3,
                   max_steps=None):
     """``svm_fit`` for parameter points on many training folds at once.
 
-    ``pts`` and ``labels`` are as ``_training_data`` returns them, ``folds``
-    holds arrays of the row indices that each fold trains on, and
-    ``params_lists`` the parameter points to fit on each fold. Each class
-    pair's kernel is built once per fold and kernel type and shared by the
-    points that differ only in C, and every binary problem of every fold is
-    solved by one lockstep call. Yields, per fold, an iterator over its
-    points of the model ``svm_fit`` would return or the ``ValueError`` it
-    would raise. Models are assembled one at a time, as they are read,
-    because each holds copies of its support vectors.
+    ``pts``, ``classes`` and ``codes`` are as ``_training_data`` returns
+    them, ``folds`` holds arrays of the row indices that each fold trains
+    on, and ``params_lists`` the parameter points to fit on each fold. Every
+    model votes over all of ``classes``, with a pair for each two classes
+    the fold has rows of. Each class pair's kernel is built once per fold
+    and kernel type and shared by the points that differ only in C, and
+    every binary problem of every fold is solved by one lockstep call.
+    Yields, per fold, an iterator over its points of the model ``svm_fit``
+    would return or the ``ValueError`` it would raise. Models are assembled
+    one at a time, as they are read, because each holds copies of its
+    support vectors.
     """
     kernels = []
     problems = []
     fits = []
     for rows, params_list in zip(folds, params_lists):
-        fold_labels = labels[rows]
-        classes = sorted_classes(fold_labels)
-        if len(classes) < 2:
+        fold_codes = codes[rows]
+        present = np.flatnonzero(np.bincount(fold_codes,
+                                             minlength=len(classes)))
+        if present.size < 2:
             fits.append(None)
             continue
         pairs = []
-        for a_i in range(len(classes)):
-            for b_i in range(a_i + 1, len(classes)):
-                pos, neg = classes[a_i], classes[b_i]
-                mask = (fold_labels == pos) | (fold_labels == neg)
-                pairs.append((pos, neg, rows[mask],
-                              np.where(fold_labels[mask] == pos, 1.0, -1.0)))
+        for pos, neg in itertools.combinations(present.tolist(), 2):
+            mask = (fold_codes == pos) | (fold_codes == neg)
+            pairs.append((pos, neg, rows[mask],
+                          np.where(fold_codes[mask] == pos, 1.0, -1.0)))
         first_kernel = {}
         plans = []
         for params in params_list:
@@ -590,10 +605,10 @@ def _svm_fit_many(pts, labels, folds, params_lists, tol: float = 1e-3,
             plans.append((params, gamma, len(problems)))
             problems += [(first + q, y, params.c, _step_cap(y.size, max_steps))
                          for q, (_, _, _, y) in enumerate(pairs)]
-        fits.append((classes, pairs, plans))
+        fits.append((pairs, plans))
     results = _smo_lockstep(kernels, problems, tol)
 
-    def assemble(classes, pairs, plan):
+    def assemble(pairs, plan):
         params, gamma, start = plan
         binary = []
         notes = []
@@ -605,23 +620,38 @@ def _svm_fit_many(pts, labels, folds, params_lists, tol: float = 1e-3,
             alpha, bias, ok, steps = result
             smo_steps += steps
             if not ok:
-                notes.append(f"pair ({pos}, {neg}) hit the iteration cap"
+                names = f"({classes[pos]}, {classes[neg]})"
+                notes.append(f"pair {names} hit the iteration cap"
                              if steps >= problems[start + q][3] else
-                             f"pair ({pos}, {neg}) stopped on a numerically "
-                             f"stuck step before the gap closed")
+                             f"pair {names} stopped on a numerically stuck "
+                             f"step before the gap closed")
             sv = alpha > 1e-12
             binary.append(_BinarySVM(pos, neg, pts[members[sv]],
                                      alpha[sv] * y[sv], bias))
-        return SVMModel(tuple(classes), tuple(binary), params, gamma,
-                        not notes, smo_steps, tuple(notes))
+        return SVMModel(classes, tuple(binary), params, gamma, not notes,
+                        smo_steps, tuple(notes))
 
     for fit, params_list in zip(fits, params_lists):
         if fit is None:
             yield [ValueError("need at least two classes")] * len(params_list)
         else:
-            classes, pairs, plans = fit
+            pairs, plans = fit
             # Bound now, so that folds may be read after later ones.
-            yield map(functools.partial(assemble, classes, pairs), plans)
+            yield map(functools.partial(assemble, pairs), plans)
+
+
+def _svm_votes(model: SVMModel, queries: np.ndarray) -> np.ndarray:
+    """Class code of each query row by one-vs-one majority vote; ties go
+    to the smallest class identifier."""
+    votes = np.full((queries.shape[0], len(model.classes)), -1.0)
+    # Only classes that some pair separates start at zero votes, so a class
+    # with no training row never wins, even where every decision is NaN.
+    votes[:, [c for pair in model.pairs for c in (pair.pos, pair.neg)]] = 0.0
+    for pair in model.pairs:
+        dec = pair.decision(queries, model.params.kernel, model.gamma)
+        votes[dec > 0, pair.pos] += 1
+        votes[dec <= 0, pair.neg] += 1
+    return np.argmax(votes, axis=1)
 
 
 def svm_predict(model: SVMModel, queries) -> np.ndarray:
@@ -629,14 +659,7 @@ def svm_predict(model: SVMModel, queries) -> np.ndarray:
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
         q = q.reshape(1, -1)
-    votes = np.zeros((q.shape[0], len(model.classes)))
-    index = {c: i for i, c in enumerate(model.classes)}
-    for pair in model.pairs:
-        dec = pair.decision(q, model.params.kernel, model.gamma)
-        votes[dec > 0, index[pair.pos_class]] += 1
-        votes[dec <= 0, index[pair.neg_class]] += 1
-    winners = np.argmax(votes, axis=1)
-    return np.array([model.classes[w] for w in winners], dtype=object)
+    return np.array(model.classes, dtype=object)[_svm_votes(model, q)]
 
 
 def fit_model(points, labels, params):
@@ -666,30 +689,24 @@ def kfold_splits(labels, k: int, seed) -> list:
     If some class has fewer members than ``k``, splitting falls back to
     plain (unstratified) shuffled folds with a warning.
     """
-    labels = [str(v) for v in labels]
-    n = len(labels)
+    _, codes = _encode(labels)
+    n = codes.size
     if k < 2 or k > n:
         raise ValueError(f"k={k} is invalid for {n} items")
     rng = np.random.default_rng(seed)
-    classes = sorted_classes(labels)
-    counts = {c: labels.count(c) for c in classes}
-    folds = [[] for _ in range(k)]
-    if min(counts.values()) < k:
+    counts = np.bincount(codes)
+    if counts.min() < k:
         warnings.warn(
-            f"smallest class has {min(counts.values())} members (< {k} folds); "
+            f"smallest class has {counts.min()} members (< {k} folds); "
             "falling back to unstratified folds", stacklevel=2)
         order = rng.permutation(n)
-        for pos, idx in enumerate(order):
-            folds[pos % k].append(int(idx))
     else:
-        offset = 0
-        for c in classes:
-            idx = [i for i, l in enumerate(labels) if l == c]
-            idx = [idx[i] for i in rng.permutation(len(idx))]
-            for pos, i in enumerate(idx):
-                folds[(offset + pos) % k].append(i)
-            offset += len(idx)
-    return [np.array(sorted(f), dtype=int) for f in folds]
+        # Each class's members, shuffled, one class after another.
+        members = [np.flatnonzero(codes == c) for c in range(counts.size)]
+        order = np.concatenate([idx[rng.permutation(idx.size)]
+                                for idx in members])
+    # Position t of the order goes to fold t mod k.
+    return [np.sort(order[f::k]) for f in range(k)]
 
 
 def accuracy(true_labels, predicted) -> float:
@@ -704,7 +721,8 @@ def accuracy(true_labels, predicted) -> float:
 
 def confusion_matrix(true_labels, predicted, classes=None):
     """Counts of (true class, predicted class). Returns ``(classes, matrix)``
-    with entry (i, j) counting class-i items predicted as class j."""
+    with entry (i, j) counting class-i items predicted as class j. A label
+    outside the given ``classes`` raises ``ValueError``."""
     true_labels = [str(v) for v in true_labels]
     predicted = [str(v) for v in predicted]
     if len(true_labels) != len(predicted):
@@ -714,9 +732,57 @@ def confusion_matrix(true_labels, predicted, classes=None):
     classes = list(classes)
     index = {c: i for i, c in enumerate(classes)}
     mat = np.zeros((len(classes), len(classes)), dtype=int)
+    unknown = [v for v in true_labels + predicted if v not in index]
+    if unknown:
+        raise ValueError(f"label {unknown[0]!r} is not one of the classes")
     for t, p in zip(true_labels, predicted):
         mat[index[t], index[p]] += 1
     return tuple(classes), mat
+
+
+def _predict_splits(pts, classes, codes, splits):
+    """Fit grid points on training rows and predict the class codes of
+    test rows, for many splits at once.
+
+    ``pts``, ``classes`` and ``codes`` are as ``_training_data`` returns
+    them, and ``splits`` holds ``(train, test, grid)`` tuples: row numbers
+    of ``pts`` and the parameter points to fit on ``train``. Yields, per
+    split, a list over its grid of ``(predicted codes of test, the fitted
+    model's warnings)`` or the ``ValueError`` the fit would raise. Per
+    split, the KNN points share one neighbour order per Minkowski p; the SVM
+    points of every split are solved in one lockstep call, and each SVM
+    model is assembled, used and dropped in turn.
+    """
+    svm_lists = [[params for params in grid if isinstance(params, SVMParams)]
+                 for _, _, grid in splits]
+    svm_fits = (_svm_fit_many(pts, classes, codes,
+                              [train for train, _, _ in splits], svm_lists)
+                if any(svm_lists) else itertools.repeat(()))
+    for (train, test, grid), models in zip(splits, svm_fits):
+        out = [None] * len(grid)
+        by_p = {}
+        for g, params in enumerate(grid):
+            if not isinstance(params, KNNParams):
+                continue
+            if params.n_neighbors > train.size:
+                out[g] = ValueError(f"n_neighbors={params.n_neighbors} "
+                                    f"exceeds training size {train.size}")
+            else:
+                by_p.setdefault(params.p, []).append(
+                    (g, (params.n_neighbors, params.weights)))
+        for p, points in by_p.items():
+            dist = _minkowski(pts[test], pts[train], p)
+            order = np.argsort(dist, axis=1, kind="stable")
+            winners = _knn_votes(dist, order, codes[train], len(classes),
+                                 [point for _, point in points])
+            for g, point in points:
+                out[g] = (winners[point], ())
+        svm_points = [g for g, params in enumerate(grid)
+                      if isinstance(params, SVMParams)]
+        for g, model in zip(svm_points, models):
+            out[g] = model if isinstance(model, ValueError) else (
+                _svm_votes(model, pts[test]), model.warnings)
+        yield out
 
 
 def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
@@ -734,23 +800,23 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
     kernels across C and are solved in one lockstep batch. It is the
     one-search case of the batch of searches that ``nested_cv`` runs.
     """
-    pts, labels = _training_data(points, labels)
-    (result,) = _search_many(pts, labels, [(np.arange(pts.shape[0]), k, seed)],
-                             grid)
+    pts, classes, codes = _training_data(points, labels)
+    (result,) = _search_many(pts, classes, codes,
+                             [(np.arange(pts.shape[0]), k, seed)], grid)
     if isinstance(result, ValueError):
         raise result
     return result
 
 
-def _search_many(pts, labels, searches, grid) -> list:
+def _search_many(pts, classes, codes, searches, grid) -> list:
     """``grid_search_cv`` on many ``(rows, k, seed)`` searches at once.
 
-    ``rows`` holds ascending row numbers of ``pts``, as ``_training_data``
-    returns it, and folds index ``pts`` by those numbers. Each search
-    scores its KNN points fold by fold; the SVM points of every fold of
-    every search are solved in one lockstep call. Returns, per search,
-    ``(best_params, best_score)`` or the ``ValueError`` for a search with
-    no feasible point; an invalid ``k`` raises at once.
+    ``pts``, ``classes`` and ``codes`` are as ``_training_data`` returns
+    them. ``rows`` holds ascending row numbers of ``pts``, and folds index
+    ``pts`` by those numbers. Every fold of every search is scored by one
+    ``_predict_splits`` call. Returns, per search, ``(best_params,
+    best_score)`` or the ``ValueError`` for a search with no feasible
+    point; an invalid ``k`` raises at once.
     """
     grid = list(grid)
     if not grid:
@@ -759,54 +825,25 @@ def _search_many(pts, labels, searches, grid) -> list:
         if not isinstance(params, (KNNParams, SVMParams)):
             raise TypeError(
                 f"unsupported parameter type {type(params).__name__}")
-    splits = []  # (search, training rows, validation rows)
+    owners = []
+    splits = []  # (training rows, validation rows, grid)
     for s, (rows, k, seed) in enumerate(searches):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            folds = kfold_splits(labels[rows], k, seed)
-        splits += [(s, np.delete(rows, fold), rows[fold]) for fold in folds]
+            folds = kfold_splits(codes[rows], k, seed)
+        owners += [s] * len(folds)
+        splits += [(np.delete(rows, fold), rows[fold], grid) for fold in folds]
 
     # Validation accuracies per search and grid point; None once a fold is
     # infeasible.
     scores = [[[] for _ in grid] for _ in searches]
-    knn = [(g, params) for g, params in enumerate(grid)
-           if isinstance(params, KNNParams)]
-    for s, train, fold in splits:
-        classes = sorted_classes(labels[train])
-        class_names = np.array(classes, dtype=object)
-        class_index = {c: i for i, c in enumerate(classes)}
-        train_class = np.array([class_index[l] for l in labels[train]])
-        for p in sorted({params.p for _, params in knn}):
-            points_p = []
-            for g, params in knn:
-                if params.p != p or scores[s][g] is None:
-                    continue
-                if params.n_neighbors > train.size:
-                    scores[s][g] = None
-                else:
-                    points_p.append((g, (params.n_neighbors, params.weights)))
-            if not points_p:
-                continue
-            dist = _minkowski(pts[fold], pts[train], p)
-            order = np.argsort(dist, axis=1, kind="stable")
-            winners = _knn_votes(dist, order, train_class, len(classes),
-                                 [point for _, point in points_p])
-            for g, point in points_p:
-                scores[s][g].append(
-                    accuracy(labels[fold], class_names[winners[point]]))
-
-    svm = [(g, params) for g, params in enumerate(grid)
-           if isinstance(params, SVMParams)]
-    if svm:
-        fits = _svm_fit_many(pts, labels, [train for _, train, _ in splits],
-                             [[params for _, params in svm]] * len(splits))
-        for (s, _, fold), models in zip(splits, fits):
-            for (g, _), model in zip(svm, models):
-                if isinstance(model, ValueError):
-                    scores[s][g] = None
-                elif scores[s][g] is not None:
-                    pred = svm_predict(model, pts[fold])
-                    scores[s][g].append(accuracy(labels[fold], pred))
+    fits = _predict_splits(pts, classes, codes, splits)
+    for s, (_, fold, _), fold_fits in zip(owners, splits, fits):
+        for g, fit in enumerate(fold_fits):
+            if isinstance(fit, ValueError):
+                scores[s][g] = None
+            elif scores[s][g] is not None:
+                scores[s][g].append(float(np.mean(codes[fold] == fit[0])))
 
     results = []
     for search_scores in scores:
@@ -866,42 +903,33 @@ def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,
     lockstep call and their SVM refits in a second; results and errors are
     those of running the folds one after another.
     """
-    pts, labels = _training_data(points, labels)
-    classes = tuple(sorted_classes(labels))
+    pts, classes, codes = _training_data(points, labels)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     seeds = ss.spawn(outer_k + 1)
-    folds = kfold_splits(labels, outer_k, seeds[0])
+    folds = kfold_splits(codes, outer_k, seeds[0])
     trains = [np.delete(np.arange(pts.shape[0]), holdout) for holdout in folds]
     # Training sets grow with the fold index, so an inner k too large for
     # one fails on fold 0 first, as in a fold-by-fold loop.
-    searches = _search_many(pts, labels, [
+    searches = _search_many(pts, classes, codes, [
         (train, inner_k, seeds[f + 1]) for f, train in enumerate(trains)], grid)
     # Folds after the first failed search are never refit.
     failed = next((f for f, r in enumerate(searches)
                    if isinstance(r, ValueError)), len(folds))
     chosen = [params for params, _ in searches[:failed]]
-    svm_folds = [f for f, params in enumerate(chosen)
-                 if isinstance(params, SVMParams)]
-    refits = dict(zip(svm_folds, _svm_fit_many(
-        pts, labels, [trains[f] for f in svm_folds],
-        [[chosen[f]] for f in svm_folds])))
+    refits = _predict_splits(pts, classes, codes, [
+        (trains[f], folds[f], (chosen[f],)) for f in range(failed)])
     fold_acc = []
     notes = []
     pooled = np.zeros((len(classes), len(classes)), dtype=int)
-    for f, (train, holdout) in enumerate(zip(trains, folds)):
-        if f == failed:
-            raise searches[f]
-        if f in refits:
-            (model,) = refits[f]
-            if isinstance(model, ValueError):
-                raise model
-        else:
-            model = fit_model(pts[train], labels[train], chosen[f])
-        pred = predict_model(model, pts[holdout])
-        fold_acc.append(accuracy(labels[holdout], pred))
-        notes.append(model.warnings if isinstance(model, SVMModel) else ())
-        _, mat = confusion_matrix(labels[holdout], pred, classes)
-        pooled += mat
+    for holdout, (fit,) in zip(folds, refits):
+        if isinstance(fit, ValueError):
+            raise fit
+        pred, fold_notes = fit
+        fold_acc.append(float(np.mean(codes[holdout] == pred)))
+        notes.append(fold_notes)
+        np.add.at(pooled, (codes[holdout], pred), 1)
+    if failed < len(folds):
+        raise searches[failed]
     return CVReport(tuple(fold_acc), tuple(chosen), classes, pooled,
                     tuple(notes))

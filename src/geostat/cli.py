@@ -165,6 +165,21 @@ def _load_feature_pair(cfg: RunConfig):
     return features.read_feature_csv(train_path), features.read_feature_csv(test_path)
 
 
+def _feature_grid(cfg: RunConfig):
+    """The run's config and its feature matrices keyed by grid cell.
+
+    Pre-extracted input carries one feature representation, so the grid
+    collapses to one cell: its window count is the file's, and its
+    smoothing the first of ``cfg.smoothings``.
+    """
+    if cfg.format != "features":
+        return cfg, _extract_grid(cfg)
+    pair = _load_feature_pair(cfg)
+    cfg = replace(cfg, windows=(len(pair[0].windows),),
+                  smoothings=cfg.smoothings[:1])
+    return cfg, {cfg.grid_cells[0]: pair}
+
+
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
@@ -221,13 +236,7 @@ def _evaluate_matrices(cfg: RunConfig, grid):
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    if cfg.format == "features":
-        # Pre-extracted input carries one feature representation: collapse
-        # the grid to a single cell.
-        cfg = replace(cfg, windows=cfg.windows[:1], smoothings=cfg.smoothings[:1])
-        grid = {cfg.grid_cells[0]: _load_feature_pair(cfg)}
-    else:
-        grid = _extract_grid(cfg)
+    cfg, grid = _feature_grid(cfg)
     keys, results = _evaluate_matrices(cfg, grid)
 
     for (model, w, s, run), (_, _, notes) in zip(keys, results):
@@ -373,11 +382,7 @@ def parse_mask(spec: str) -> AblationMask:
 def cmd_ablate(cfg: RunConfig) -> int:
     if not cfg.masks:
         raise ValueError("ablate requires at least one --mask")
-    if cfg.format == "features":
-        pair = _load_feature_pair(cfg)
-        grid = {cell: pair for cell in cfg.grid_cells}
-    else:
-        grid = _extract_grid(cfg)
+    cfg, grid = _feature_grid(cfg)
 
     def mean_by_cell_model(feature_grid):
         keys, results = _evaluate_matrices(cfg, feature_grid)
@@ -413,11 +418,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_windows(cfg: RunConfig) -> int:
-    if cfg.format == "features":
-        pair = _load_feature_pair(cfg)
-        grid = {cell: pair for cell in cfg.grid_cells}
-    else:
-        grid = _extract_grid(cfg)
+    cfg, grid = _feature_grid(cfg)
     rows = []
     for (w, s) in cfg.grid_cells:
         train_fm, test_fm = grid[(w, s)]

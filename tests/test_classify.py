@@ -813,17 +813,33 @@ MIXED_GRID = tuple(p for pair in zip(default_svm_grid(), default_knn_grid())
                    for p in pair) + default_knn_grid()[9:]
 
 
+def comparison_problems(rng, count, sizes):
+    """``count`` random blob problems of ``sizes`` rows per class, then two
+    whose labels "9", "10" and "2.5" sort differently as strings and as
+    numbers. In those, class "2.5" has one or two members, fewer than any
+    fold count the comparisons use, so some training folds lack it."""
+    for _ in range(count):
+        n_classes = int(rng.integers(2, 4))
+        yield make_blobs(int(rng.integers(*sizes)),
+                         [[c, 0.5 * c] for c in range(n_classes)],
+                         spread=float(rng.choice([0.4, 1.0, 2.0])),
+                         seed=int(rng.integers(1000)))
+    for small in (1, 2):
+        x, y = make_blobs(int(rng.integers(*sizes)),
+                          [[c, 0.5 * c] for c in range(3)], spread=1.0,
+                          seed=int(rng.integers(1000)))
+        keep = [i for i, v in enumerate(y) if v != "2"]
+        keep += [i for i, v in enumerate(y) if v == "2"][:small]
+        yield x[keep], [("9", "10", "2.5")[int(y[i])] for i in keep]
+
+
 class TestGridSearchAgainstReference:
     @pytest.mark.parametrize("grid", [default_knn_grid(), default_svm_grid(),
                                       MIXED_GRID], ids=["knn", "svm", "mixed"])
+    @pytest.mark.filterwarnings("ignore:smallest class")
     def test_matches_point_by_point_search(self, grid):
         rng = np.random.default_rng(31)
-        for _ in range(5):
-            n_classes = int(rng.integers(2, 4))
-            x, y = make_blobs(int(rng.integers(6, 14)),
-                              [[c, 0.5 * c] for c in range(n_classes)],
-                              spread=float(rng.choice([0.4, 1.0, 2.0])),
-                              seed=int(rng.integers(1000)))
+        for x, y in comparison_problems(rng, 5, (6, 14)):
             k = int(rng.integers(3, 6))
             seed = int(rng.integers(1000))
             assert grid_search_cv(x, y, grid, k=k, seed=seed) == \
@@ -864,6 +880,26 @@ class TestGridSearchAgainstReference:
             assert svm_only == reference_grid_search(x, y, default_svm_grid(),
                                                      k=4, seed=0)
         assert svm_only[0].kernel != "poly"
+
+    def test_absent_class_never_wins_where_every_vote_is_zero(self):
+        # Class "a" has no training row. Split models vote over all classes,
+        # yet must predict what a model fit on the training rows alone
+        # predicts, also for test rows where no class gets a vote: an
+        # infinite row is at infinite distance from every training row, and
+        # a NaN row gets NaN from every SVM decision.
+        x = np.array([[0.0], [1.0], [2.0], [3.0], [np.inf], [np.nan], [1.5]])
+        labels = ["b", "b", "c", "c", "a", "a", "b"]
+        classes, codes = classify._encode(labels)
+        train, test = np.arange(4), np.arange(4, 7)
+        grid = (KNNParams(2, "distance"), KNNParams(3), SVMParams(1.0, "rbf"),
+                SVMParams(10.0, "linear"))
+        with np.errstate(invalid="ignore"):
+            (fits,) = classify._predict_splits(x, classes, codes,
+                                               [(train, test, grid)])
+            for params, (pred, _) in zip(grid, fits):
+                model = fit_model(x[train], labels[:4], params)
+                assert [classes[c] for c in pred] == \
+                    list(predict_model(model, x[test]))
 
     def test_malformed_input_rejected(self):
         with pytest.raises(ValueError):
@@ -931,14 +967,10 @@ GRIDS = pytest.mark.parametrize(
 
 class TestNestedCVAgainstReference:
     @GRIDS
+    @pytest.mark.filterwarnings("ignore:smallest class")
     def test_matches_fold_by_fold_loop(self, grid):
         rng = np.random.default_rng(41)
-        for _ in range(4):
-            n_classes = int(rng.integers(2, 4))
-            x, y = make_blobs(int(rng.integers(6, 12)),
-                              [[c, 0.5 * c] for c in range(n_classes)],
-                              spread=float(rng.choice([0.4, 1.0, 2.0])),
-                              seed=int(rng.integers(1000)))
+        for x, y in comparison_problems(rng, 4, (6, 12)):
             outer_k, inner_k = (int(v) for v in rng.integers(3, 6, size=2))
             seed = int(rng.integers(1000))
             assert_same_report(
@@ -961,6 +993,17 @@ class TestNestedCVAgainstReference:
             assert batched == 1 + (svm_refits > 0)
         if grid == default_svm_grid():
             assert batched == 2 and len(lockstep_calls) == 8
+
+    def test_refits_use_no_per_model_function(self, monkeypatch):
+        called = []
+        for name in ("fit_model", "predict_model", "knn_fit", "knn_predict",
+                     "accuracy", "confusion_matrix"):
+            monkeypatch.setattr(classify, name,
+                                lambda *a, name=name, **k: called.append(name))
+        x, y = make_blobs(12, [0.0, 1.0, 2.0], spread=1.0, seed=8)
+        report = nested_cv(x, y, MIXED_GRID, outer_k=4, inner_k=3, seed=0)
+        assert called == []
+        assert {type(p) for p in report.chosen_params} == {KNNParams, SVMParams}
 
     def test_capped_refits_report_the_same_notes(self, monkeypatch):
         monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
@@ -1018,3 +1061,7 @@ class TestConfusionMatrix:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             confusion_matrix(["a"], ["a", "b"])
+
+    def test_label_outside_classes_rejected(self):
+        with pytest.raises(ValueError, match="label 'c'"):
+            confusion_matrix(["a", "c"], ["a", "a"], classes=["a", "b"])

@@ -107,6 +107,58 @@ def feature_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def feature_pair_dir(tiny_dataset, tmp_path_factory):
+    """The tiny dataset's 2-window, 1-smoothing cell as features input."""
+    root = tmp_path_factory.mktemp("pair")
+    assert run("extract", "--dataset", tiny_dataset, "--out", root,
+               "--smoothings", "1", "--windows", "2", *BASE_FLAGS) == 0
+    for split in ("train", "test"):
+        os.replace(root / f"features_{split}_2W_1S.csv",
+                   root / f"features_{split}.csv")
+    return root
+
+
+class TestFeaturesInput:
+    """Features input is one grid cell: the file's window count and the
+    first --smoothings value, whatever the --windows flag says."""
+
+    @pytest.mark.parametrize("command, name, extra, cells", [
+        ("evaluate", "results.csv", (), [["knn", "2", "0", "0"]]),
+        ("ablate", "ablation.csv", ("--mask", "position"),
+         [["knn", "2", "0", "position"]]),
+        ("windows", "window_accuracy.csv", (),
+         [["knn", "2", "0", "0"], ["knn", "2", "0", "1"]]),
+    ], ids=["evaluate", "ablate", "windows"])
+    def test_default_grid_flags(self, feature_pair_dir, tmp_path, command,
+                                name, extra, cells):
+        out = tmp_path / "out"
+        assert run(command, "--dataset", feature_pair_dir, "--format",
+                   "features", "--out", out, "--models", "knn", "--folds", "4",
+                   "--seed", "5", *extra) == 0
+        assert [row[:4] for row in read_rows(out / name)[1:]] == cells
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["evaluate", "nested"])
+    def test_two_workers_write_the_same_files(self, tiny_dataset, feature_dir,
+                                              tmp_path, command):
+        if command == "evaluate":
+            flags = ("evaluate", "--dataset", tiny_dataset, "--smoothings",
+                     "1", "--windows", "1,2", *BASE_FLAGS)
+        else:
+            flags = ("nested", "--dataset", feature_dir, "--format",
+                     "features", "--folds", "3", "--seed", "9")
+        for jobs in (1, 2):
+            assert run(*flags, "--models", "knn,svm", "--repetitions", "2",
+                       "--jobs", jobs, "--out", tmp_path / str(jobs)) == 0
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert names and names == sorted(os.listdir(tmp_path / "2"))
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
+
+
 class TestNested:
     def test_nested_on_features(self, feature_dir, tmp_path):
         out = tmp_path / "out"

@@ -44,3 +44,15 @@ def test_window_means_leave_out_masked_arrays():
     ])
     assert not loaded_after(code, "numpy.ma")
     assert loaded_after(code + "\nnp.unique(counts)", "numpy.ma")
+
+
+def test_nested_cv_leaves_out_masked_arrays():
+    code = "\n".join([
+        "import numpy as np",
+        "from geostat import classify",
+        "x = np.random.default_rng(0).normal(size=(24, 3))",
+        "y = ['a', 'b', 'c'] * 8",
+        "grid = classify.default_knn_grid()[:4] + classify.default_svm_grid()",
+        "classify.nested_cv(x, y, grid, outer_k=3, inner_k=3, seed=0)",
+    ])
+    assert not loaded_after(code, "numpy.ma")
