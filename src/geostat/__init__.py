@@ -38,9 +38,12 @@ from .features import (
     apply_mask,
     extract_multivariate,
     extract_univariate,
+    mask_columns,
     read_feature_csv,
+    select_columns,
     single_window,
     univariate_matrix,
+    window_columns,
     write_feature_csv,
     z_normalize,
 )

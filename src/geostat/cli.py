@@ -54,7 +54,6 @@ class RunConfig:
     folds: int = 10
     masks: tuple = ()
     class_map: str = ""
-    binary: bool = False
     band: float = -1.0  # warping band fraction; negative = unconstrained
 
     def __post_init__(self):
@@ -103,13 +102,31 @@ def _print_notes(where: str, notes) -> None:
 
 
 def _run_tasks(worker, tasks, jobs: int) -> list:
-    """Run tasks (picklable argument tuples) and return results in task order."""
-    if jobs <= 1 or len(tasks) <= 1:
+    """Run tasks (picklable argument tuples) and return results in task order.
+
+    A pool never has more workers than tasks: it starts them all at once.
+    """
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         return [worker(t) for t in tasks]
     # Imported here: importing the pool costs every command 10-20 ms.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _group(keys, results) -> dict:
+    """Results listed per key, keys in the order they first occur."""
+    out = {}
+    for key, result in zip(keys, results):
+        out.setdefault(key, []).append(result)
+    return out
+
+
+def _spread(values) -> list:
+    """Formatted min, max, mean and std of a list of accuracies."""
+    return [_fmt(min(values)), _fmt(max(values)), _fmt(float(np.mean(values))),
+            _fmt(float(np.std(values)))]
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +218,14 @@ def cmd_extract(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _evaluate_task(args):
-    """One (cell, model, run): select on train folds, refit, score test."""
-    (train_rows, train_labels, test_rows, test_labels,
-     model, folds, seed_entropy) = args
-    train_fm = FeatureMatrix(train_rows[0], train_rows[1], train_labels)
-    test_fm = FeatureMatrix(test_rows[0], test_rows[1], test_labels)
+    """One (entry, model, run): select on train folds, refit, score test.
+
+    ``columns`` lists the column indices the entry keeps, or is None for all.
+    """
+    train_fm, test_fm, columns, model, folds, seed_entropy = args
+    if columns is not None:
+        train_fm = features.select_columns(train_fm, columns)
+        test_fm = features.select_columns(test_fm, columns)
     train_n, (test_n,), _, _ = features.z_normalize(train_fm, [test_fm])
     seed = np.random.SeedSequence(list(seed_entropy))
     grid = classify.default_grid(model)
@@ -214,47 +234,45 @@ def _evaluate_task(args):
     fitted = classify.fit_model(train_n.rows, train_n.labels, params)
     pred = classify.predict_model(fitted, test_n.rows)
     notes = fitted.warnings if isinstance(fitted, classify.SVMModel) else ()
-    return classify.accuracy(test_n.labels, pred), params.tag(), notes
+    return classify.accuracy(test_n.labels, pred), notes
 
 
-def _evaluate_matrices(cfg: RunConfig, grid):
-    """Accuracy of every (cell, model, run) over the given feature matrices."""
+def _evaluate_matrices(cfg: RunConfig, entries) -> dict:
+    """Accuracy and notes of every (entry, model, run), as one task list.
+
+    Entries are ``(key, cell index, train matrix, test matrix, columns)``;
+    the cell index seeds the entry's runs. Tasks share their cell's
+    matrices. Returns run-ordered lists keyed by ``(key, model)``, in entry
+    and then model order.
+    """
     tasks = []
     keys = []
-    for ci, (w, s) in enumerate(cfg.grid_cells):
-        train_fm, test_fm = grid[(w, s)]
+    for key, ci, train_fm, test_fm, columns in entries:
         for mi, model in enumerate(cfg.models):
             for run in range(cfg.repetitions):
-                entropy = [int(cfg.seed), ci, mi, run]
-                tasks.append((
-                    (train_fm.rows, train_fm.column_labels), train_fm.labels,
-                    (test_fm.rows, test_fm.column_labels), test_fm.labels,
-                    model, cfg.folds, entropy))
-                keys.append((model, w, s, run))
-    results = _run_tasks(_evaluate_task, tasks, cfg.jobs)
-    return keys, results
+                tasks.append((train_fm, test_fm, columns, model, cfg.folds,
+                              [int(cfg.seed), ci, mi, run]))
+                keys.append((key, model))
+    return _group(keys, _run_tasks(_evaluate_task, tasks, cfg.jobs))
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     cfg, grid = _feature_grid(cfg)
-    keys, results = _evaluate_matrices(cfg, grid)
+    results = _evaluate_matrices(cfg, [
+        (cell, ci, *grid[cell], None) for ci, cell in enumerate(cfg.grid_cells)])
 
-    for (model, w, s, run), (_, _, notes) in zip(keys, results):
-        _print_notes(f"{model} {w}W {s}S run {run}", notes)
-    rows = [[model, w, s, run, "", _fmt(acc)]
-            for (model, w, s, run), (acc, _, _) in zip(keys, results)]
+    rows = []
+    summary = []
+    for ((w, s), model), runs in results.items():
+        for run, (_, notes) in enumerate(runs):
+            _print_notes(f"{model} {w}W {s}S run {run}", notes)
+        accs = [acc for acc, _ in runs]
+        rows += [[model, w, s, run, "", _fmt(acc)]
+                 for run, acc in enumerate(accs)]
+        summary.append([f"{model.upper()}_{w}W_{s}S"] + _spread(accs))
     _write_csv(os.path.join(cfg.out, "results.csv"),
                ["model", "windows", "smoothings", "run", "fold", "accuracy"],
                rows)
-
-    summary = []
-    for (w, s) in cfg.grid_cells:
-        for model in cfg.models:
-            accs = [acc for (m, ww, ss, _), (acc, _, _) in zip(keys, results)
-                    if m == model and ww == w and ss == s]
-            tag = f"{model.upper()}_{w}W_{s}S"
-            summary.append([tag, _fmt(min(accs)), _fmt(max(accs)),
-                            _fmt(float(np.mean(accs))), _fmt(float(np.std(accs)))])
     _write_csv(os.path.join(cfg.out, "summary.csv"),
                ["model", "min", "max", "mean", "std"], summary)
     print(f"wrote results for {len(rows)} runs to {cfg.out}")
@@ -300,60 +318,59 @@ def _nested_task(args):
             tuple(str(w.message) for w in caught))
 
 
-def _run_nested(cfg: RunConfig, fm: FeatureMatrix, suffix: str = "") -> None:
+def _run_nested(cfg: RunConfig, fm: FeatureMatrix, label_sets) -> None:
+    """Nested CV of every (label set, model, iteration) as one task list.
+
+    ``label_sets`` pairs a file-name suffix with the row labels it scores.
+    """
     tasks = []
     keys = []
-    for mi, model in enumerate(cfg.models):
-        for it in range(cfg.repetitions):
-            entropy = [int(cfg.seed), mi, it]
-            tasks.append((fm.rows, fm.column_labels, fm.labels, model,
-                          cfg.folds, entropy))
-            keys.append((model, it))
-    results = _run_tasks(_nested_task, tasks, cfg.jobs)
+    for suffix, labels in label_sets:
+        for mi, model in enumerate(cfg.models):
+            for it in range(cfg.repetitions):
+                tasks.append((fm.rows, fm.column_labels, labels, model,
+                              cfg.folds, [int(cfg.seed), mi, it]))
+                keys.append((suffix, model))
+    results = _group(keys, _run_tasks(_nested_task, tasks, cfg.jobs))
 
-    fold_rows = []
-    summary_rows = []
-    for model in cfg.models:
+    fold_rows = {suffix: [] for suffix, _ in label_sets}
+    summary_rows = {suffix: [] for suffix, _ in label_sets}
+    for (suffix, model), runs in results.items():
         iteration_means = []
-        for (m, it), (accs, tags, _, _, notes, warned) in zip(keys, results):
-            if m != model:
-                continue
+        for it, (accs, tags, _, _, notes, warned) in enumerate(runs):
             _print_notes(f"{model}{suffix} iteration {it}", warned)
             for f, fold_notes in enumerate(notes):
                 _print_notes(f"{model}{suffix} iteration {it} fold {f}",
                              fold_notes)
             iteration_means.append(float(np.mean(accs)))
-            for f, (acc, tag) in enumerate(zip(accs, tags)):
-                fold_rows.append([model, it, f, _fmt(acc), tag])
-        summary_rows.append([
-            model.upper(), _fmt(min(iteration_means)), _fmt(max(iteration_means)),
-            _fmt(float(np.mean(iteration_means))),
-            _fmt(float(np.std(iteration_means)))])
+            fold_rows[suffix] += [[model, it, f, _fmt(acc), tag]
+                                  for f, (acc, tag) in enumerate(zip(accs, tags))]
+        summary_rows[suffix].append([model.upper()] + _spread(iteration_means))
         # Confusion matrix of the first iteration, pooled over outer folds.
-        first = next(r for k, r in zip(keys, results) if k == (model, 0))
-        classes, confusion = first[2], first[3]
+        classes, confusion = runs[0][2], runs[0][3]
         conf_rows = [[c] + [int(v) for v in row]
                      for c, row in zip(classes, confusion)]
         _write_csv(os.path.join(cfg.out, f"confusion_{model}{suffix}.csv"),
                    ["class"] + list(classes), conf_rows)
 
-    _write_csv(os.path.join(cfg.out, f"nested_folds{suffix}.csv"),
-               ["model", "iteration", "fold", "accuracy", "params"], fold_rows)
-    _write_csv(os.path.join(cfg.out, f"nested_summary{suffix}.csv"),
-               ["model", "min", "max", "mean", "std"], summary_rows)
+    for suffix, _ in label_sets:
+        _write_csv(os.path.join(cfg.out, f"nested_folds{suffix}.csv"),
+                   ["model", "iteration", "fold", "accuracy", "params"],
+                   fold_rows[suffix])
+        _write_csv(os.path.join(cfg.out, f"nested_summary{suffix}.csv"),
+                   ["model", "min", "max", "mean", "std"], summary_rows[suffix])
 
 
 def cmd_nested(cfg: RunConfig) -> int:
-    if cfg.binary and not cfg.class_map:
-        raise ValueError("the binary task needs --class-map")
-    fm = _nested_feature_matrix(cfg)
-    _run_nested(cfg, fm)
     if cfg.class_map:
         with open(cfg.class_map) as fh:
             class_map = json.load(fh)
-        binary_labels = ingest.binary_fishing_labels(fm.labels, class_map)
-        binary_fm = FeatureMatrix(fm.rows, fm.column_labels, binary_labels)
-        _run_nested(cfg, binary_fm, suffix="_binary")
+    fm = _nested_feature_matrix(cfg)
+    label_sets = [("", fm.labels)]
+    if cfg.class_map:
+        label_sets.append(
+            ("_binary", ingest.binary_fishing_labels(fm.labels, class_map)))
+    _run_nested(cfg, fm, label_sets)
     print(f"wrote nested cross-validation reports to {cfg.out}")
     return 0
 
@@ -383,28 +400,25 @@ def cmd_ablate(cfg: RunConfig) -> int:
     if not cfg.masks:
         raise ValueError("ablate requires at least one --mask")
     cfg, grid = _feature_grid(cfg)
-
-    def mean_by_cell_model(feature_grid):
-        keys, results = _evaluate_matrices(cfg, feature_grid)
-        out = {}
-        for (model, w, s, _), (acc, _, _) in zip(keys, results):
-            out.setdefault((model, w, s), []).append(acc)
-        return {k: float(np.mean(v)) for k, v in out.items()}
-
-    baseline = mean_by_cell_model(grid)
+    masks = [parse_mask(spec) for spec in cfg.masks]
+    # Every entry of a cell shares its matrices; a mask is column indices.
+    entries = []
+    for ci, cell in enumerate(cfg.grid_cells):
+        train_fm, test_fm = grid[cell]
+        entries.append(((cell, None), ci, train_fm, test_fm, None))
+        entries += [((cell, i), ci, train_fm, test_fm,
+                     features.mask_columns(train_fm, mask))
+                    for i, mask in enumerate(masks)]
+    means = {key: float(np.mean([acc for acc, _ in runs]))
+             for key, runs in _evaluate_matrices(cfg, entries).items()}
     rows = []
-    for mask_spec in cfg.masks:
-        mask = parse_mask(mask_spec)
-        masked_grid = {
-            cell: (features.apply_mask(tr, mask), features.apply_mask(te, mask))
-            for cell, (tr, te) in grid.items()}
-        masked = mean_by_cell_model(masked_grid)
-        for (w, s) in cfg.grid_cells:
+    for i, mask_spec in enumerate(cfg.masks):
+        for cell in cfg.grid_cells:
             for model in cfg.models:
-                base = baseline[(model, w, s)]
-                after = masked[(model, w, s)]
+                base = means[(cell, None), model]
+                after = means[(cell, i), model]
                 change = 100.0 * (after - base) / base if base > 0 else 0.0
-                rows.append([model, w, s, mask_spec, _fmt(base), _fmt(after),
+                rows.append([model, *cell, mask_spec, _fmt(base), _fmt(after),
                              _fmt(change)])
     _write_csv(os.path.join(cfg.out, "ablation.csv"),
                ["model", "windows", "smoothings", "mask", "baseline_mean",
@@ -419,20 +433,19 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 def cmd_windows(cfg: RunConfig) -> int:
     cfg, grid = _feature_grid(cfg)
+    # Each window slice is seeded as the only cell of its own run (index 0).
+    entries = []
+    for cell in cfg.grid_cells:
+        train_fm, test_fm = grid[cell]
+        entries += [((cell, window), 0, train_fm, test_fm,
+                     features.window_columns(train_fm, window))
+                    for window in range(cell[0])]
     rows = []
-    for (w, s) in cfg.grid_cells:
-        train_fm, test_fm = grid[(w, s)]
-        for window in range(w):
-            sliced = {(w, s): (features.single_window(train_fm, window),
-                               features.single_window(test_fm, window))}
-            sub_cfg = replace(cfg, windows=(w,), smoothings=(s,))
-            keys, results = _evaluate_matrices(sub_cfg, sliced)
-            for model in cfg.models:
-                accs = [acc for (m, _, _, _), (acc, _, _) in zip(keys, results)
-                        if m == model]
-                rows.append([model, w, s, window,
-                             _fmt(float(np.mean(accs))),
-                             _fmt(float(np.std(accs)))])
+    results = _evaluate_matrices(cfg, entries)
+    for (((w, s), window), model), runs in results.items():
+        accs = [acc for acc, _ in runs]
+        rows.append([model, w, s, window, _fmt(float(np.mean(accs))),
+                     _fmt(float(np.std(accs)))])
     _write_csv(os.path.join(cfg.out, "window_accuracy.csv"),
                ["model", "windows", "smoothings", "window", "mean", "std"],
                rows)
@@ -490,8 +503,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="ablation mask, e.g. 'position,stat:low_quantiles'")
     p.add_argument("--class-map", dest="class_map",
                    help="JSON file mapping class labels to binary-task labels")
-    p.add_argument("--binary", action="store_const", const=True, default=None,
-                   help="also run the binary task (requires --class-map)")
     p.add_argument("--band", type=float,
                    help="warping band fraction; omit for unconstrained")
 

@@ -38,6 +38,9 @@ __all__ = [
     "extract_multivariate",
     "univariate_matrix",
     "z_normalize",
+    "mask_columns",
+    "window_columns",
+    "select_columns",
     "apply_mask",
     "single_window",
     "write_feature_csv",
@@ -358,11 +361,12 @@ def _expand_statistic_groups(names, present_stats):
     return expanded
 
 
-def apply_mask(fm: FeatureMatrix, mask: AblationMask) -> FeatureMatrix:
-    """Drop every column whose distribution or statistic the mask names.
+def mask_columns(fm: FeatureMatrix, mask: AblationMask) -> list:
+    """Indices of the columns the mask keeps: those whose distribution and
+    statistic it does not name.
 
-    Row class labels are preserved. Raises if a mask name is not in the
-    matrix vocabulary or if no columns would remain.
+    Raises if a mask name is not in the matrix vocabulary or if no columns
+    would remain.
     """
     present_dists = set(fm.distributions)
     for name in mask.removed_distributions:
@@ -374,15 +378,34 @@ def apply_mask(fm: FeatureMatrix, mask: AblationMask) -> FeatureMatrix:
             if d not in mask.removed_distributions and s not in removed_stats]
     if not keep:
         raise ValueError("mask removes every column")
-    cols = tuple(fm.column_labels[i] for i in keep)
-    return FeatureMatrix(fm.rows[:, keep], cols, fm.labels)
+    return keep
+
+
+def window_columns(fm: FeatureMatrix, window: int) -> list:
+    """Indices of the columns of one window index; raises if there are none."""
+    keep = [i for i, (_, w, _) in enumerate(fm.column_labels) if w == window]
+    if not keep:
+        raise ValueError(f"no columns for window {window}")
+    return keep
+
+
+def select_columns(fm: FeatureMatrix, keep) -> FeatureMatrix:
+    """The matrix restricted to the columns at indices ``keep``, in order."""
+    return FeatureMatrix(fm.rows[:, keep],
+                         tuple(fm.column_labels[i] for i in keep), fm.labels)
+
+
+def apply_mask(fm: FeatureMatrix, mask: AblationMask) -> FeatureMatrix:
+    """Drop every column whose distribution or statistic the mask names.
+
+    Row class labels are preserved. Raises as :func:`mask_columns` does.
+    """
+    return select_columns(fm, mask_columns(fm, mask))
 
 
 def single_window(fm: FeatureMatrix, window: int) -> FeatureMatrix:
     """Restrict a windowed matrix to the columns of one window index."""
-    keep = [i for i, (_, w, _) in enumerate(fm.column_labels) if w == window]
-    if not keep:
-        raise ValueError(f"no columns for window {window}")
+    keep = window_columns(fm, window)
     cols = tuple((d, 0, s) for d, _, s in
                  (fm.column_labels[i] for i in keep))
     return FeatureMatrix(fm.rows[:, keep], cols, fm.labels)

@@ -563,6 +563,8 @@ def vessel_feature_matrix(tracks, cfg: GeoStatConfig) -> FeatureMatrix:
 
 def binary_fishing_labels(labels, class_map) -> tuple:
     """Collapse vessel classes to a two-class task via an explicit map."""
+    if not isinstance(class_map, dict):
+        raise ValueError("class map must be an object mapping class labels")
     out = []
     for label in labels:
         key = str(label)

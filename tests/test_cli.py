@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import functools
 import json
 import os
 
@@ -12,7 +14,7 @@ from conftest import (
     ucr_rows_from_dataset,
     write_ucr_dataset,
 )
-from geostat import classify
+from geostat import classify, cli
 from geostat.cli import main, parse_mask
 from geostat.features import FeatureMatrix, write_feature_csv
 
@@ -139,16 +141,46 @@ class TestFeaturesInput:
         assert [row[:4] for row in read_rows(out / name)[1:]] == cells
 
 
+def command_flags(command, tiny_dataset, feature_dir, tmp_path):
+    """Flags of a small run of each model-fitting command."""
+    if command == "nested":
+        return ("nested", "--dataset", feature_dir, "--format", "features",
+                "--folds", "3", "--seed", "9")
+    if command == "nested-class-map":
+        class_map = tmp_path / "map.json"
+        class_map.write_text(json.dumps({"0": "yes", "1": "no"}))
+        return (*command_flags("nested", tiny_dataset, feature_dir, tmp_path),
+                "--class-map", class_map)
+    masks = ("--mask", "position", "--mask", "stat:low_quantiles")
+    return (command, "--dataset", tiny_dataset, "--smoothings", "1",
+            "--windows", "1,2", *BASE_FLAGS,
+            *(masks if command == "ablate" else ()))
+
+
+class RecordingPool:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+FITTING_COMMANDS = ["evaluate", "nested", "nested-class-map", "ablate", "windows"]
+
+
 class TestJobs:
-    @pytest.mark.parametrize("command", ["evaluate", "nested"])
+    @pytest.mark.parametrize("command", FITTING_COMMANDS)
     def test_two_workers_write_the_same_files(self, tiny_dataset, feature_dir,
                                               tmp_path, command):
-        if command == "evaluate":
-            flags = ("evaluate", "--dataset", tiny_dataset, "--smoothings",
-                     "1", "--windows", "1,2", *BASE_FLAGS)
-        else:
-            flags = ("nested", "--dataset", feature_dir, "--format",
-                     "features", "--folds", "3", "--seed", "9")
+        flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
         for jobs in (1, 2):
             assert run(*flags, "--models", "knn,svm", "--repetitions", "2",
                        "--jobs", jobs, "--out", tmp_path / str(jobs)) == 0
@@ -157,6 +189,40 @@ class TestJobs:
         for name in names:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes())
+
+    @pytest.mark.parametrize("command, most", [
+        ("evaluate", 2), ("ablate", 2), ("windows", 2),
+        ("nested-class-map", 1)])
+    def test_one_pool_per_stage(self, tiny_dataset, feature_dir, tmp_path,
+                                monkeypatch, command, most):
+        # One pool featurizes the grid cells, one runs every model fit.
+        sizes = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
+        assert run(*flags, "--models", "knn,svm", "--jobs", 2,
+                   "--out", tmp_path / "out") == 0
+        assert 1 <= len(sizes) <= most
+        assert set(sizes) == {2}
+
+    @pytest.mark.parametrize("command, sizes", [
+        ("evaluate", [2, 4]), ("nested", [2])])
+    def test_no_more_workers_than_tasks(self, tiny_dataset, feature_dir,
+                                        tmp_path, monkeypatch, command, sizes):
+        # evaluate: 2 cells to featurize, then 2 cells x 2 models to fit.
+        recorded = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            functools.partial(RecordingPool, recorded))
+        flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
+        assert run(*flags, "--models", "knn,svm", "--jobs", 8,
+                   "--out", tmp_path / "out") == 0
+        assert recorded == sizes
 
 
 class TestNested:
@@ -174,13 +240,6 @@ class TestNested:
         conf = read_rows(out / "confusion_knn.csv")
         assert len(conf) == 3  # header + 2 classes
 
-    def test_binary_flag_without_class_map_is_error(self, feature_dir,
-                                                    tmp_path):
-        rc = run("nested", "--dataset", feature_dir, "--format", "features",
-                 "--out", tmp_path / "o", "--models", "knn", "--binary",
-                 "--folds", "5")
-        assert rc == 1
-
     def test_binary_task_with_class_map(self, feature_dir, tmp_path):
         out = tmp_path / "out"
         class_map = tmp_path / "map.json"
@@ -190,6 +249,20 @@ class TestNested:
                  "--folds", "5", "--seed", "9", "--class-map", class_map)
         assert rc == 0
         assert (out / "nested_summary_binary.csv").exists()
+
+    @pytest.mark.parametrize("content", [None, "[1, 2]", "{not json"],
+                             ids=["missing", "not-an-object", "malformed"])
+    def test_bad_class_map_writes_nothing(self, feature_dir, tmp_path,
+                                          capsys, content):
+        class_map = tmp_path / "map.json"
+        if content is not None:
+            class_map.write_text(content)
+        out = tmp_path / "out"
+        assert run("nested", "--dataset", feature_dir, "--format", "features",
+                   "--out", out, "--models", "knn", "--folds", "5",
+                   "--class-map", class_map) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_nested_on_vessel_csv(self, tmp_path):
         assert run_vessel_nested(tmp_path, vessel_lines()) == 0
@@ -315,6 +388,21 @@ class TestAblate:
                  "--mask", "position,velocity,acceleration,curvature,"
                            "signed_curvature")
         assert rc == 1
+
+    def test_unknown_mask_name_fails_before_any_fit(self, tiny_dataset,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_evaluate_task",
+                            lambda args: calls.append(args))
+        rc = run("ablate", "--dataset", tiny_dataset, "--out", tmp_path / "o",
+                 "--smoothings", "1", "--windows", "1", "--models", "knn",
+                 *BASE_FLAGS, "--jobs", "1",
+                 "--mask", "position", "--mask", "dist:nonsense")
+        assert rc == 1
+        assert ("error: unknown distribution name 'nonsense'"
+                in capsys.readouterr().err)
+        assert calls == []
 
     def test_no_mask_is_error(self, tiny_dataset, tmp_path):
         rc = run("ablate", "--dataset", tiny_dataset, "--out", tmp_path / "o",
