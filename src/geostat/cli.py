@@ -28,7 +28,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import classify, dtw, features, ingest, series
+# classify and dtw are imported by the functions that use them, so that
+# extract, which needs neither, does not pay for loading them.
+from . import features, ingest, series
 from .features import AblationMask, FeatureMatrix, GeoStatConfig
 from .stats import MULTIVARIATE_QUANTILES, SummaryConfig
 
@@ -101,6 +103,12 @@ def _print_notes(where: str, notes) -> None:
         print(f"note: {where}: {note}", file=sys.stderr)
 
 
+def _print_run_notes(where: str, runs) -> None:
+    """Notes of the ``(accuracy, notes)`` results of an entry's runs."""
+    for run, (_, notes) in enumerate(runs):
+        _print_notes(f"{where} run {run}", notes)
+
+
 def _run_tasks(worker, tasks, jobs: int) -> list:
     """Run tasks (picklable argument tuples) and return results in task order.
 
@@ -134,18 +142,29 @@ def _spread(values) -> list:
 # ---------------------------------------------------------------------------
 
 def _load_uniform_splits(cfg: RunConfig):
-    """Load an archive dataset and return uniform train/test series."""
+    """Load an archive dataset as uniform series sharing one step.
+
+    Returns ``(step, train values, train labels, test values, test
+    labels)``, each split's values one (samples x series) array.
+    """
     ds = ingest.load_ucr(cfg.dataset)
-    all_series = [ingest.series_to_time_series(v)
-                  for v in ds.train_series + ds.test_series]
+    raw = ds.train_series + ds.test_series
     if ds.equal_length:
-        uniform = [series.resample_uniform(ts, cfg.min_samples)
-                   for ts in all_series]
+        # One series with a coordinate per input series: one grid and one
+        # interpolation resample them all, as resample_uniform does each.
+        n = len(raw[0])
+        uniform = series.resample_uniform(
+            series.TimeSeries(np.arange(n, dtype=float), np.column_stack(raw)),
+            cfg.min_samples)
+        step, values = uniform.step, uniform.values
     else:
-        uniform = series.equalize_lengths(all_series, cfg.min_samples)
+        uniform = series.equalize_lengths(
+            [ingest.series_to_time_series(v) for v in raw], cfg.min_samples)
+        step = uniform[0].step
+        values = np.column_stack([us.values[:, 0] for us in uniform])
     n_train = len(ds.train_series)
-    return (ds, uniform[:n_train], list(ds.train_labels),
-            uniform[n_train:], list(ds.test_labels))
+    return (step, values[:, :n_train], list(ds.train_labels),
+            values[:, n_train:], list(ds.test_labels))
 
 
 def _cell_config(cfg: RunConfig, windows: int, smoothings: int) -> GeoStatConfig:
@@ -155,20 +174,22 @@ def _cell_config(cfg: RunConfig, windows: int, smoothings: int) -> GeoStatConfig
 
 
 def _extract_cell(args):
-    (train_series, train_labels, test_series, test_labels,
-     cell_cfg) = args
-    train_fm = features.univariate_matrix(train_series, train_labels, cell_cfg)
-    test_fm = features.univariate_matrix(test_series, test_labels, cell_cfg)
-    return train_fm, test_fm
+    """Train and test matrices of the grid cells of one smoothing, one pair
+    per window count, from one signal pass over each split."""
+    step, train_values, train_labels, test_values, test_labels, configs = args
+    train = features.univariate_grid(train_values, step, train_labels, configs)
+    test = features.univariate_grid(test_values, step, test_labels, configs)
+    return list(zip(train, test))
 
 
 def _extract_grid(cfg: RunConfig):
     """Feature matrices for every grid cell, keyed by (windows, smoothings)."""
-    _, train_s, train_y, test_s, test_y = _load_uniform_splits(cfg)
-    tasks = [(train_s, train_y, test_s, test_y, _cell_config(cfg, w, s))
-             for (w, s) in cfg.grid_cells]
+    splits = _load_uniform_splits(cfg)
+    tasks = [(*splits, [_cell_config(cfg, w, s) for w in cfg.windows])
+             for s in cfg.smoothings]
     results = _run_tasks(_extract_cell, tasks, cfg.jobs)
-    return dict(zip(cfg.grid_cells, results))
+    return {(w, s): pair for s, cell_pairs in zip(cfg.smoothings, results)
+            for w, pair in zip(cfg.windows, cell_pairs)}
 
 
 def _load_feature_pair(cfg: RunConfig):
@@ -222,6 +243,7 @@ def _evaluate_task(args):
 
     ``columns`` lists the column indices the entry keeps, or is None for all.
     """
+    from . import classify
     train_fm, test_fm, columns, model, folds, seed_entropy = args
     if columns is not None:
         train_fm = features.select_columns(train_fm, columns)
@@ -264,8 +286,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     rows = []
     summary = []
     for ((w, s), model), runs in results.items():
-        for run, (_, notes) in enumerate(runs):
-            _print_notes(f"{model} {w}W {s}S run {run}", notes)
+        _print_run_notes(f"{model} {w}W {s}S", runs)
         accs = [acc for acc, _ in runs]
         rows += [[model, w, s, run, "", _fmt(acc)]
                  for run, acc in enumerate(accs)]
@@ -303,6 +324,7 @@ def _nested_feature_matrix(cfg: RunConfig) -> FeatureMatrix:
 
 
 def _nested_task(args):
+    from . import classify
     (rows, col_labels, labels, model, folds, seed_entropy) = args
     fm = FeatureMatrix(rows, col_labels, labels)
     normed, _, _, _ = features.z_normalize(fm)
@@ -409,8 +431,12 @@ def cmd_ablate(cfg: RunConfig) -> int:
         entries += [((cell, i), ci, train_fm, test_fm,
                      features.mask_columns(train_fm, mask))
                     for i, mask in enumerate(masks)]
-    means = {key: float(np.mean([acc for acc, _ in runs]))
-             for key, runs in _evaluate_matrices(cfg, entries).items()}
+    means = {}
+    for ((cell, mask), model), runs in _evaluate_matrices(cfg, entries).items():
+        w, s = cell
+        where = "" if mask is None else f" mask {cfg.masks[mask]!r}"
+        _print_run_notes(f"{model} {w}W {s}S{where}", runs)
+        means[(cell, mask), model] = float(np.mean([acc for acc, _ in runs]))
     rows = []
     for i, mask_spec in enumerate(cfg.masks):
         for cell in cfg.grid_cells:
@@ -443,6 +469,7 @@ def cmd_windows(cfg: RunConfig) -> int:
     rows = []
     results = _evaluate_matrices(cfg, entries)
     for (((w, s), window), model), runs in results.items():
+        _print_run_notes(f"{model} {w}W {s}S window {window}", runs)
         accs = [acc for acc, _ in runs]
         rows.append([model, w, s, window, _fmt(float(np.mean(accs))),
                      _fmt(float(np.std(accs)))])
@@ -458,6 +485,7 @@ def cmd_windows(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dtw(cfg: RunConfig) -> int:
+    from . import classify, dtw
     ds = ingest.load_ucr(cfg.dataset)
     band = None if cfg.band < 0 else cfg.band
     dtw_cfg = dtw.DTWConfig(band_fraction=band)

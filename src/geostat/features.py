@@ -5,6 +5,11 @@ once, splitting the time axis into consecutive equal windows, and
 summarizing every derived distribution inside every window. Columns follow a
 fixed (distribution, window, statistic) order, distribution-major, so that
 ablation masks and single-window slices are plain index computations.
+
+Series are featurized in blocks that share a sample count and step: the
+signals of a block are derived in one array pass, and
+:func:`univariate_grid` summarizes them under every window count of one
+smoothing before moving on, in scratch buffers all blocks reuse.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ import numpy as np
 from .geometry import build_stack, univariate_signals
 from .series import UniformSeries
 from .stats import (
+    SCRATCH_COPIES,
     SphericalSample,
     SummaryConfig,
     frechet_mean_variance,
     summarize,
+    summarize_into,
 )
 
 __all__ = [
@@ -37,6 +44,7 @@ __all__ = [
     "extract_univariate",
     "extract_multivariate",
     "univariate_matrix",
+    "univariate_grid",
     "z_normalize",
     "mask_columns",
     "window_columns",
@@ -196,8 +204,7 @@ def extract_univariate(us: UniformSeries, cfg: GeoStatConfig):
     each window. Returns ``(values, column_labels)``; this is the one-row
     case of :func:`univariate_matrix`.
     """
-    rows, labels = _univariate_rows([us], cfg)
-    return rows[0], list(labels)
+    return _series_rows([us], cfg)[0], list(_column_labels(cfg))
 
 
 def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
@@ -248,31 +255,64 @@ def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
     return np.array(values), labels
 
 
-def _univariate_block(values: np.ndarray, step: float, bounds: list,
-                      cfg: GeoStatConfig) -> np.ndarray:
-    """Feature rows of the univariate series in the columns of ``values``."""
-    n_samples, n_series = values.shape
-    signals = np.empty((len(UNIVARIATE_DISTRIBUTIONS), n_series, n_samples))
-    for out, signal in zip(signals, univariate_signals(
-            values, step, cfg.smoothing_iterations)):
-        out[...] = signal.T
-    rows = np.empty((n_series, len(UNIVARIATE_DISTRIBUTIONS), len(bounds),
-                     cfg.summary.size))
-    # Windows of one size are adjacent, so each size is one reshape and one
-    # summarize call.
+def _window_runs(n_samples: int, num_windows: int) -> list:
+    """``(first window, count, first sample, size)`` of each run of
+    adjacent windows of one size; sizes differ by at most one."""
+    bounds = _check_window_sizes(n_samples, num_windows)
+    runs = []
     w = 0
     for size, same in itertools.groupby(b - a for a, b in bounds):
         count = len(list(same))
-        a = bounds[w][0]
-        part = signals[:, :, a:a + count * size].reshape(
-            signals.shape[:2] + (count, size))
-        rows[:, :, w:w + count] = summarize(part, cfg.summary).transpose(1, 0, 2, 3)
+        runs.append((w, count, bounds[w][0], size))
         w += count
-    return rows.reshape(n_series, -1)
+    return runs
 
 
-def _univariate_rows(series: list, cfg: GeoStatConfig):
-    """Feature rows of univariate series, in input order, and their labels.
+def _column_labels(cfg: GeoStatConfig) -> tuple:
+    stat_names = cfg.summary.statistic_names
+    return tuple((name, w, s) for name in UNIVARIATE_DISTRIBUTIONS
+                 for w in range(cfg.num_windows) for s in stat_names)
+
+
+def _univariate_rows(blocks, n_samples: int, step: float, configs,
+                     rows) -> None:
+    """Write the feature rows of series sharing a sample count and step.
+
+    ``blocks`` yields ``(index, values)``: where the block's rows go in each
+    array of ``rows`` (one per config), and the block's series as the
+    columns of a (samples x series) array. The signals of a block are
+    derived once and summarized under every config, all of which share a
+    smoothing; the signals and every summary's scratch space live in one
+    buffer that all blocks reuse.
+    """
+    runs = [_window_runs(n_samples, cfg.num_windows) for cfg in configs]
+    k = configs[0].smoothing_iterations
+    n_dist = len(UNIVARIATE_DISTRIBUTIONS)
+    buffer = np.empty(0)
+    for index, values in blocks:
+        n_series = values.shape[1]
+        size = n_dist * n_series * n_samples
+        if buffer.size < (1 + SCRATCH_COPIES) * size:
+            buffer = np.empty((1 + SCRATCH_COPIES) * size)
+        signals = buffer[:size].reshape(n_dist, n_series, n_samples)
+        for out, signal in zip(signals, univariate_signals(values, step, k)):
+            out[...] = signal.T
+        for cfg, cfg_runs, cfg_rows in zip(configs, runs, rows):
+            block = np.empty((n_series, n_dist, cfg.num_windows,
+                              cfg.summary.size))
+            # Windows of one size are adjacent, so each size is one
+            # reshape and one summary.
+            for w, count, a, width in cfg_runs:
+                part = signals[:, :, a:a + count * width].reshape(
+                    n_dist, n_series, count, width)
+                summarize_into(part, cfg.summary,
+                               block[:, :, w:w + count].transpose(1, 0, 2, 3),
+                               buffer[size:])
+            cfg_rows[index] = block.reshape(n_series, -1)
+
+
+def _series_rows(series: list, cfg: GeoStatConfig) -> np.ndarray:
+    """Feature rows of univariate uniform series, in input order.
 
     Series sharing a sample count and step are featurized together, at most
     ``BLOCK_SAMPLES`` samples' worth of series at a time, so transient
@@ -283,18 +323,16 @@ def _univariate_rows(series: list, cfg: GeoStatConfig):
         if us.dim != 1:
             raise ValueError("univariate features require 1-dimensional series")
         groups.setdefault((us.n_samples, us.step), []).append(i)
-    stat_names = cfg.summary.statistic_names
-    labels = tuple((name, w, s) for name in UNIVARIATE_DISTRIBUTIONS
-                   for w in range(cfg.num_windows) for s in stat_names)
-    rows = np.empty((len(series), len(labels)))
+    rows = np.empty((len(series), len(_column_labels(cfg))))
     for (n_samples, step), members in groups.items():
-        bounds = _check_window_sizes(n_samples, cfg.num_windows)
         per_block = max(1, BLOCK_SAMPLES // n_samples)
-        for start in range(0, len(members), per_block):
-            block = members[start:start + per_block]
-            values = np.column_stack([series[i].values[:, 0] for i in block])
-            rows[block] = _univariate_block(values, step, bounds, cfg)
-    return rows, labels
+        chunks = (members[start:start + per_block]
+                  for start in range(0, len(members), per_block))
+        blocks = ((chunk, np.column_stack([series[i].values[:, 0]
+                                           for i in chunk]))
+                  for chunk in chunks)
+        _univariate_rows(blocks, n_samples, step, [cfg], [rows])
+    return rows
 
 
 def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix:
@@ -310,8 +348,46 @@ def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix
         raise ValueError("series and labels counts differ")
     if not series:
         raise ValueError("empty collection")
-    rows, labels = _univariate_rows(series, cfg)
-    return FeatureMatrix(rows, labels, tuple(class_labels))
+    return FeatureMatrix(_series_rows(series, cfg), _column_labels(cfg),
+                         tuple(class_labels))
+
+
+def univariate_grid(values, step: float, class_labels, configs) -> list:
+    """Feature matrices of many series on one grid, one per config.
+
+    ``values`` is (samples x series), one univariate series per column, all
+    sampled every ``step``. The configs share a smoothing and may differ in
+    window count and statistics; matrix ``c`` equals
+    :func:`univariate_matrix` of the columns under ``configs[c]``. The
+    signals of each block of ``BLOCK_SAMPLES`` samples are derived once
+    for all configs.
+    """
+    values = np.asarray(values, dtype=float)
+    configs = list(configs)
+    class_labels = tuple(class_labels)
+    if values.ndim != 2:
+        raise ValueError("values must be a (samples x series) array")
+    n_samples, n_series = values.shape
+    if n_series != len(class_labels):
+        raise ValueError("series and labels counts differ")
+    if not n_series:
+        raise ValueError("empty collection")
+    if not configs:
+        raise ValueError("need at least one config")
+    if len({cfg.smoothing_iterations for cfg in configs}) > 1:
+        raise ValueError("configs must share a smoothing")
+    if n_samples < 3:
+        raise ValueError("uniform series needs at least 3 samples")
+    if not step > 0:
+        raise ValueError("step must be positive")
+    columns = [_column_labels(cfg) for cfg in configs]
+    rows = [np.empty((n_series, len(c))) for c in columns]
+    per_block = max(1, BLOCK_SAMPLES // n_samples)
+    blocks = ((slice(start, start + per_block),
+               values[:, start:start + per_block])
+              for start in range(0, n_series, per_block))
+    _univariate_rows(blocks, n_samples, step, configs, rows)
+    return [FeatureMatrix(r, c, class_labels) for r, c in zip(rows, columns)]
 
 
 def z_normalize(train: FeatureMatrix, others=()):

@@ -141,21 +141,32 @@ def parse_ucr_file(path):
             label = fields[0].strip()
             if not label:
                 raise ValueError(f"{path}:{line_no}: missing class label")
-            raw = []
-            for col, field in enumerate(fields[1:], start=2):
-                token = field.strip()
-                if token.lower() in _MISSING_MARKERS:
-                    raw.append(np.nan)
-                    continue
-                try:
-                    raw.append(float(token))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: bad value {token!r} in column {col}"
-                    ) from None
+            try:
+                # float() strips blanks and reads nan markers itself.
+                raw = list(map(float, fields[1:]))
+            except ValueError:
+                raw = _parse_fields(fields, path, line_no)
             labels.append(label)
             series.append(_fill_missing(raw, path, line_no))
     return labels, series
+
+
+def _parse_fields(fields, path, line_no) -> list:
+    """Values of a row's fields one by one: missing markers become NaN,
+    and the first malformed field raises with its column."""
+    raw = []
+    for col, field in enumerate(fields[1:], start=2):
+        try:
+            raw.append(float(field))
+            continue
+        except ValueError:
+            token = field.strip()
+        # float() reads "nan" itself; the other markers do not parse.
+        if token.lower() not in _MISSING_MARKERS:
+            raise ValueError(
+                f"{path}:{line_no}: bad value {token!r} in column {col}")
+        raw.append(np.nan)
+    return raw
 
 
 def _find_split_file(directory: Path, suffix: str) -> Path:
@@ -562,7 +573,11 @@ def vessel_feature_matrix(tracks, cfg: GeoStatConfig) -> FeatureMatrix:
 
 
 def binary_fishing_labels(labels, class_map) -> tuple:
-    """Collapse vessel classes to a two-class task via an explicit map."""
+    """Collapse vessel classes to a two-class task via an explicit map.
+
+    Raises if a label has no entry or if the mapped labels are not at
+    least two classes.
+    """
     if not isinstance(class_map, dict):
         raise ValueError("class map must be an object mapping class labels")
     out = []
@@ -571,4 +586,8 @@ def binary_fishing_labels(labels, class_map) -> tuple:
         if key not in class_map:
             raise ValueError(f"class map has no entry for {key!r}")
         out.append(str(class_map[key]))
+    classes = sorted(set(out))
+    if len(classes) < 2:
+        raise ValueError(f"class map leaves the binary task the classes "
+                         f"{classes}; it needs two")
     return tuple(out)

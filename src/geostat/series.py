@@ -157,10 +157,19 @@ def interpolate_at(ts: TimeSeries, t) -> np.ndarray:
 
 
 def _lerp(knots, values, idx, t) -> np.ndarray:
-    """Interpolate at times ``t`` between knots ``idx - 1`` and ``idx``."""
+    """Interpolate at times ``t`` between knots ``idx - 1`` and ``idx``.
+
+    Works in place on one result-sized array beside the left values, so
+    resampling many columns at once holds two copies of the result, not
+    four.
+    """
     lo = knots[idx - 1]
     frac = ((t - lo) / (knots[idx] - lo))[:, None]
-    return values[idx - 1] + frac * (values[idx] - values[idx - 1])
+    left = values[idx - 1]
+    out = values[idx] - left
+    out *= frac
+    out += left
+    return out
 
 
 def resample_uniform(ts: TimeSeries, min_samples: int = 500) -> UniformSeries:

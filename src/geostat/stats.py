@@ -4,7 +4,9 @@ The scalar summaries are deliberately plain: range, population moments, and
 order-statistic quantiles with linear interpolation at fractional positions
 ``h = q * (N - 1)``. Kurtosis is reported as excess (normal data scores 0),
 and constant samples (zero range) yield std, skew and kurtosis of exactly 0
-so that constant windows still produce finite feature vectors.
+so that constant windows still produce finite feature vectors. Every
+summary runs in caller-provided scratch arrays (:func:`summarize_into`), so
+a caller summarizing many blocks allocates sample-sized memory once.
 
 Spherical positions cannot be summarized by coordinate-wise quantiles, so
 they are summarized by the point minimizing the sum of squared great-circle
@@ -24,6 +26,7 @@ __all__ = [
     "UNIVARIATE_QUANTILES",
     "MULTIVARIATE_QUANTILES",
     "summarize",
+    "summarize_into",
     "quantiles",
     "frechet_mean_variance",
 ]
@@ -94,6 +97,10 @@ def quantiles(samples, qs) -> np.ndarray:
     return _sorted_quantiles(x, qs)
 
 
+# Sample-sized arrays :func:`summarize_into` works in.
+SCRATCH_COPIES = 3
+
+
 def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
     """Summary vectors of empirical distributions along the last axis.
 
@@ -103,7 +110,8 @@ def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
     sample gives a single vector. Moments are population moments (no bias
     correction). Skew and kurtosis are taken from the samples scaled by
     their standard deviation, so they stay finite when the variance is
-    positive but its powers underflow.
+    positive but its powers underflow. This is :func:`summarize_into` with
+    scratch space of its own.
 
     Raises
     ------
@@ -114,36 +122,56 @@ def summarize(samples, cfg: SummaryConfig) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1)
+    out = np.empty(x.shape[:-1] + (cfg.size,))
+    summarize_into(x, cfg, out, np.empty(SCRATCH_COPIES * x.size))
+    return out
+
+
+def summarize_into(x: np.ndarray, cfg: SummaryConfig, out: np.ndarray,
+                   scratch: np.ndarray) -> None:
+    """:func:`summarize` of the float array ``x``, written to ``out``.
+
+    ``out`` has shape ``x.shape[:-1] + (cfg.size,)`` and may be a strided
+    view. Every array as large as ``x`` is a view of ``scratch``, a flat
+    float array of at least ``SCRATCH_COPIES * x.size`` elements whose
+    contents are overwritten; a caller summarizing block after block
+    passes the same one each time, so no sample-sized memory is allocated
+    per call. Raises as :func:`summarize` does.
+    """
     if x.shape[-1] == 0:
         raise ValueError("cannot summarize an empty distribution")
-    if not np.all(np.isfinite(x)):
+    xs, centered, powers = scratch[:SCRATCH_COPIES * x.size].reshape(
+        (SCRATCH_COPIES,) + x.shape)
+    np.copyto(xs, x)
+    xs.sort(axis=-1)
+    # Sorting puts -inf first and inf and NaN last.
+    if not (np.all(np.isfinite(xs[..., 0])) and np.all(np.isfinite(xs[..., -1]))):
         raise ValueError("samples must be finite")
 
     with np.errstate(over="ignore"):
         mean = x.mean(axis=-1)
-        centered = x - mean[..., None]
-        var = (centered * centered).mean(axis=-1)
+        np.subtract(x, mean[..., None], out=centered)
+        var = np.multiply(centered, centered, out=powers).mean(axis=-1)
     if not np.all(np.isfinite(var)):
         raise ValueError("samples are too large to summarize: their variance "
                          "overflows")
-    xs = np.sort(x, axis=-1)
     spread = xs[..., -1] - xs[..., 0]
     # A constant sample whose mean rounds has a variance of rounding error,
     # so its std is set to 0; one whose variance underflows cannot be
     # scaled by its std.
     std = np.where(spread > 0.0, np.sqrt(var), 0.0)
     shaped = (spread > 0.0) & (var > 0.0)
-    u = centered / np.where(shaped, std, 1.0)[..., None]
-    u2 = u * u
+    u = np.divide(centered, np.where(shaped, std, 1.0)[..., None], out=centered)
+    u2 = np.multiply(u, u, out=powers)
     var_u = np.where(shaped, u2.mean(axis=-1), 1.0)
-    skew = np.where(shaped, (u2 * u).mean(axis=-1) / (var_u * np.sqrt(var_u)), 0.0)
-    kurt = np.where(shaped, (u2 * u2).mean(axis=-1) / (var_u * var_u) - 3.0, 0.0)
+    u3 = np.multiply(u2, u, out=u)
+    skew = np.where(shaped, u3.mean(axis=-1) / (var_u * np.sqrt(var_u)), 0.0)
+    u4 = np.multiply(u2, u2, out=u3)
+    kurt = np.where(shaped, u4.mean(axis=-1) / (var_u * var_u) - 3.0, 0.0)
 
-    out = np.empty(x.shape[:-1] + (cfg.size,))
     for i, value in enumerate((spread, mean, std, skew, kurt)):
         out[..., i] = value
     out[..., len(MOMENT_NAMES):] = _sorted_quantiles(xs, cfg.quantiles)
-    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,44 @@ import numpy as np
 
 from geostat.ingest import VesselTrack
 from geostat.series import TimeSeries
+from geostat.stats import MOMENT_NAMES
+
+
+def reference_summarize(samples, cfg):
+    """:func:`geostat.stats.summarize` as it was before it ran in scratch
+    buffers: every sample-sized array freshly allocated."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 0:
+        x = x.reshape(1)
+    if x.shape[-1] == 0:
+        raise ValueError("cannot summarize an empty distribution")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    with np.errstate(over="ignore"):
+        mean = x.mean(axis=-1)
+        centered = x - mean[..., None]
+        var = (centered * centered).mean(axis=-1)
+    if not np.all(np.isfinite(var)):
+        raise ValueError("samples are too large to summarize: their variance "
+                         "overflows")
+    xs = np.sort(x, axis=-1)
+    spread = xs[..., -1] - xs[..., 0]
+    std = np.where(spread > 0.0, np.sqrt(var), 0.0)
+    shaped = (spread > 0.0) & (var > 0.0)
+    u = centered / np.where(shaped, std, 1.0)[..., None]
+    u2 = u * u
+    var_u = np.where(shaped, u2.mean(axis=-1), 1.0)
+    skew = np.where(shaped, (u2 * u).mean(axis=-1) / (var_u * np.sqrt(var_u)), 0.0)
+    kurt = np.where(shaped, (u2 * u2).mean(axis=-1) / (var_u * var_u) - 3.0, 0.0)
+    out = np.empty(x.shape[:-1] + (cfg.size,))
+    for i, value in enumerate((spread, mean, std, skew, kurt)):
+        out[..., i] = value
+    q = np.asarray(cfg.quantiles, dtype=float)
+    h = q * (x.shape[-1] - 1)
+    lo = np.floor(h).astype(int)
+    hi = np.minimum(lo + 1, x.shape[-1] - 1)
+    out[..., len(MOMENT_NAMES):] = xs[..., lo] + (xs[..., hi] - xs[..., lo]) * (h - lo)
+    return out
 
 
 def make_blobs(n_per_class, centers, spread=0.3, seed=0):

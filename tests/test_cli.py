@@ -14,7 +14,7 @@ from conftest import (
     ucr_rows_from_dataset,
     write_ucr_dataset,
 )
-from geostat import classify, cli
+from geostat import classify, cli, ingest, series
 from geostat.cli import main, parse_mask
 from geostat.features import FeatureMatrix, write_feature_csv
 
@@ -142,7 +142,13 @@ class TestFeaturesInput:
 
 
 def command_flags(command, tiny_dataset, feature_dir, tmp_path):
-    """Flags of a small run of each model-fitting command."""
+    """Flags of a small run of extract and each model-fitting command."""
+    if command == "extract":
+        return ("extract", "--dataset", tiny_dataset, "--smoothings", "0,1,2",
+                "--windows", "1,2,4", *BASE_FLAGS)
+    if command == "evaluate-smoothings":
+        return (*command_flags("evaluate", tiny_dataset, feature_dir, tmp_path),
+                "--smoothings", "1,2")
     if command == "nested":
         return ("nested", "--dataset", feature_dir, "--format", "features",
                 "--folds", "3", "--seed", "9")
@@ -177,7 +183,7 @@ FITTING_COMMANDS = ["evaluate", "nested", "nested-class-map", "ablate", "windows
 
 
 class TestJobs:
-    @pytest.mark.parametrize("command", FITTING_COMMANDS)
+    @pytest.mark.parametrize("command", ["extract"] + FITTING_COMMANDS)
     def test_two_workers_write_the_same_files(self, tiny_dataset, feature_dir,
                                               tmp_path, command):
         flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
@@ -190,12 +196,12 @@ class TestJobs:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes())
 
-    @pytest.mark.parametrize("command, most", [
+    @pytest.mark.parametrize("command, pools", [
         ("evaluate", 2), ("ablate", 2), ("windows", 2),
-        ("nested-class-map", 1)])
+        ("nested-class-map", 1), ("extract", 1)])
     def test_one_pool_per_stage(self, tiny_dataset, feature_dir, tmp_path,
-                                monkeypatch, command, most):
-        # One pool featurizes the grid cells, one runs every model fit.
+                                monkeypatch, command, pools):
+        # One pool featurizes the two smoothings, one runs every model fit.
         sizes = []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -206,16 +212,19 @@ class TestJobs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
         flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
-        assert run(*flags, "--models", "knn,svm", "--jobs", 2,
-                   "--out", tmp_path / "out") == 0
-        assert 1 <= len(sizes) <= most
+        assert run(*flags, "--smoothings", "1,2", "--models", "knn,svm",
+                   "--jobs", 2, "--out", tmp_path / "out") == 0
+        assert len(sizes) == pools
         assert set(sizes) == {2}
 
     @pytest.mark.parametrize("command, sizes", [
-        ("evaluate", [2, 4]), ("nested", [2])])
+        ("evaluate", [4]), ("nested", [2]), ("extract", [3]),
+        ("evaluate-smoothings", [2, 8])])
     def test_no_more_workers_than_tasks(self, tiny_dataset, feature_dir,
                                         tmp_path, monkeypatch, command, sizes):
-        # evaluate: 2 cells to featurize, then 2 cells x 2 models to fit.
+        # A featurization task per smoothing (one smoothing runs
+        # in-process), then a fit per cell and model: evaluate has 2 cells
+        # of 1 smoothing, evaluate-smoothings 4 cells of 2.
         recorded = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             functools.partial(RecordingPool, recorded))
@@ -262,6 +271,19 @@ class TestNested:
                    "--out", out, "--models", "knn", "--folds", "5",
                    "--class-map", class_map) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_class_map_to_one_class_is_error(self, feature_dir, tmp_path,
+                                             capsys):
+        class_map = tmp_path / "map.json"
+        class_map.write_text(json.dumps({"0": "yes", "1": "yes"}))
+        out = tmp_path / "out"
+        assert run("nested", "--dataset", feature_dir, "--format", "features",
+                   "--out", out, "--models", "knn", "--folds", "5",
+                   "--class-map", class_map) == 1
+        assert capsys.readouterr().err == (
+            "error: class map leaves the binary task the classes ['yes']; "
+            "it needs two\n")
         assert not out.exists()
 
     def test_nested_on_vessel_csv(self, tmp_path):
@@ -367,6 +389,94 @@ class TestNotes:
         assert all(line.startswith("note: svm 2W 1S run 0: pair (")
                    and line.endswith("hit the iteration cap") for line in notes)
         assert "note" not in (out / "results.csv").read_text()
+
+
+    @pytest.mark.parametrize("command, where", [
+        ("ablate", ["svm 1W 1S run 0", "svm 1W 1S mask 'position' run 0",
+                    "svm 1W 1S mask 'stat:low_quantiles' run 0",
+                    "svm 2W 1S run 0", "svm 2W 1S mask 'position' run 0",
+                    "svm 2W 1S mask 'stat:low_quantiles' run 0"]),
+        ("windows", ["svm 1W 1S window 0 run 0", "svm 2W 1S window 0 run 0",
+                     "svm 2W 1S window 1 run 0"]),
+    ])
+    def test_ablate_and_windows_report_capped_refits(
+            self, tiny_dataset, feature_dir, tmp_path, monkeypatch, capsys,
+            command, where):
+        flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
+        assert run(*flags, "--models", "svm", "--out", tmp_path / "plain") == 0
+        assert "note:" not in capsys.readouterr().err
+        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        out = tmp_path / "capped"
+        assert run(*flags, "--models", "svm", "--out", out) == 0
+        notes = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("note: ") and
+                   line.endswith("hit the iteration cap") for line in notes)
+        # Every refit is capped; entries report in grid, mask or window order.
+        assert list(dict.fromkeys(
+            line[len("note: "):].split(": pair")[0] for line in notes)) == where
+        for name in os.listdir(out):
+            assert "note" not in (out / name).read_text()
+
+
+class TestUniformSplits:
+    """An equal-length archive split is resampled as one array, as
+    resample_uniform resamples each series."""
+
+    @pytest.fixture
+    def write(self, tmp_path):
+        def write(rows, name="D"):
+            return write_ucr_dataset(tmp_path / name, name, rows, rows[:2])
+        return write
+
+    @staticmethod
+    def one_by_one(dataset, min_samples):
+        ds = ingest.load_ucr(dataset)
+        return [series.resample_uniform(ingest.series_to_time_series(v),
+                                        min_samples)
+                for v in ds.train_series + ds.test_series]
+
+    @pytest.mark.parametrize("min_samples", [3, 40, 97])
+    def test_matches_resampling_each_series(self, tiny_dataset, min_samples):
+        cfg = cli.RunConfig(dataset=str(tiny_dataset), min_samples=min_samples)
+        step, train, train_y, test, test_y = cli._load_uniform_splits(cfg)
+        want = self.one_by_one(tiny_dataset, min_samples)
+        assert train.shape[1] + test.shape[1] == len(want)
+        for got, us in zip(np.hstack([train, test]).T, want):
+            assert us.step == step
+            assert got.tobytes() == us.values[:, 0].tobytes()
+        assert (train_y, test_y) == (["sine", "chirp"] * 8, ["sine", "chirp"] * 4)
+
+    def test_unequal_lengths_are_equalized(self, write):
+        rng = np.random.default_rng(0)
+        rows = [(str(i % 2), rng.normal(size=n))
+                for i, n in enumerate([30, 45, 38, 52])]
+        dataset = write(rows)
+        step, train, _, test, _ = cli._load_uniform_splits(
+            cli.RunConfig(dataset=str(dataset), min_samples=40))
+        ds = ingest.load_ucr(dataset)
+        want = series.equalize_lengths(
+            [ingest.series_to_time_series(v)
+             for v in ds.train_series + ds.test_series], 40)
+        for got, us in zip(np.hstack([train, test]).T, want):
+            assert us.step == step
+            assert got.tobytes() == us.values[:, 0].tobytes()
+
+    @pytest.mark.parametrize("rows, min_samples", [
+        ([("1", [0.5, 1.0, 2.0]), ("2", [1.0, 0.0, 1.0])], 2),
+        ([("1", [0.5]), ("2", [1.0])], 5),
+        ([("1", [1e308, -1e308, 1e308]), ("2", [1.0, 0.0, 1.0])], 5),
+    ], ids=["min-samples", "one-sample", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_errors_match_resampling_each_series(self, write, rows,
+                                                 min_samples):
+        dataset = write(rows)
+        with pytest.raises(ValueError) as want:
+            self.one_by_one(dataset, min_samples)
+        with pytest.raises(ValueError) as got:
+            cli._load_uniform_splits(
+                cli.RunConfig(dataset=str(dataset), min_samples=min_samples))
+        assert str(got.value) == str(want.value)
 
 
 class TestAblate:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,12 +17,14 @@ from geostat.features import (
     extract_univariate,
     read_feature_csv,
     single_window,
+    univariate_grid,
     univariate_matrix,
     window_bounds,
     write_feature_csv,
     z_normalize,
 )
-from geostat.geometry import build_stack
+from conftest import reference_summarize
+from geostat.geometry import build_stack, univariate_signals
 from geostat.series import (TimeSeries, UniformSeries, equalize_lengths,
                             resample_uniform)
 from geostat.stats import MULTIVARIATE_QUANTILES, SummaryConfig, summarize
@@ -236,6 +239,136 @@ class TestUnivariateMatrix:
         # Beside the rows, each series adds only list and tuple slots;
         # featurizing all series at once would make ``large`` 8x ``small``.
         assert large < 1.1 * small
+
+
+def reference_matrix_rows(series, cfg):
+    """Rows of :func:`univariate_matrix` as one grid cell at a time made
+    them: signals per block and cell, every array freshly allocated."""
+    n_dist = len(UNIVARIATE_DISTRIBUTIONS)
+    groups = {}
+    for i, us in enumerate(series):
+        groups.setdefault((us.n_samples, us.step), []).append(i)
+    rows = np.empty((len(series), n_dist * cfg.num_windows * cfg.summary.size))
+    for (n, step), members in groups.items():
+        bounds = window_bounds(n, cfg.num_windows)
+        per_block = max(1, features.BLOCK_SAMPLES // n)
+        for start in range(0, len(members), per_block):
+            block = members[start:start + per_block]
+            values = np.column_stack([series[i].values[:, 0] for i in block])
+            signals = np.empty((n_dist, len(block), n))
+            for out, signal in zip(signals, univariate_signals(
+                    values, step, cfg.smoothing_iterations)):
+                out[...] = signal.T
+            out = np.empty((len(block), n_dist, len(bounds), cfg.summary.size))
+            w = 0
+            for size, same in itertools.groupby(b - a for a, b in bounds):
+                count = len(list(same))
+                a = bounds[w][0]
+                part = signals[:, :, a:a + count * size].reshape(
+                    n_dist, len(block), count, size)
+                out[:, :, w:w + count] = reference_summarize(
+                    part, cfg.summary).transpose(1, 0, 2, 3)
+                w += count
+            rows[block] = out.reshape(len(block), -1)
+    return rows
+
+
+def grid_inputs(kind):
+    """Series on one grid: resampled equal-length series, or unequal
+    lengths equalized with zero-padded tails. Both hold a constant series
+    and window-sized flat stretches."""
+    rng = np.random.default_rng(5)
+    lengths = [97] * 12 if kind == "equal" else [50, 80, 123, 97, 61] * 2
+    raw = []
+    for i, n in enumerate(lengths):
+        values = np.cumsum(rng.normal(size=n))
+        values[n // 3: n // 3 + 20] = 0.3
+        if i == 4:
+            values[:] = 0.1
+        raw.append(TimeSeries(np.arange(float(n)), values))
+    if kind == "equal":
+        return [resample_uniform(ts, 97) for ts in raw]
+    return equalize_lengths(raw, min_samples=60)
+
+
+class TestUnivariateGrid:
+    """One signal pass per block for every window count gives the rows of
+    per-cell featurization, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["equal", "unequal"])
+    @pytest.mark.parametrize("smoothing", [0, 1, 2])
+    @pytest.mark.parametrize("block_series", [None, 5, 1],
+                             ids=["default-blocks", "blocks-of-5", "blocks-of-1"])
+    def test_matches_per_cell_matrices(self, monkeypatch, kind, smoothing,
+                                       block_series):
+        series = grid_inputs(kind)
+        n = series[0].n_samples
+        if block_series:
+            monkeypatch.setattr(features, "BLOCK_SAMPLES", block_series * n)
+        labels = [str(i % 3) for i in range(len(series))]
+        configs = [GeoStatConfig(num_windows=w, smoothing_iterations=smoothing)
+                   for w in (1, 2, 3, 4, 5, 6)]
+        values = np.column_stack([us.values[:, 0] for us in series])
+        grid = univariate_grid(values, series[0].step, labels, configs)
+        for cfg, fm in zip(configs, grid):
+            want = univariate_matrix(series, labels, cfg)
+            assert fm.column_labels == want.column_labels
+            assert fm.labels == want.labels
+            assert fm.rows.tobytes() == want.rows.tobytes()
+            assert fm.rows.tobytes() == reference_matrix_rows(series, cfg).tobytes()
+
+    def test_mixed_collection_matches_reference(self):
+        series = mixed_collection()
+        for windows in (1, 4):
+            cfg = GeoStatConfig(num_windows=windows, smoothing_iterations=2)
+            fm = univariate_matrix(series, ["a"] * len(series), cfg)
+            assert fm.rows.tobytes() == reference_matrix_rows(series, cfg).tobytes()
+
+    def test_statistics_may_differ_between_configs(self):
+        series = grid_inputs("equal")
+        values = np.column_stack([us.values[:, 0] for us in series])
+        configs = [GeoStatConfig(num_windows=2),
+                   GeoStatConfig(num_windows=3, summary=SummaryConfig(
+                       quantiles=MULTIVARIATE_QUANTILES))]
+        grid = univariate_grid(values, 1.0, ["a"] * len(series), configs)
+        for cfg, fm in zip(configs, grid):
+            want = univariate_matrix(series, ["a"] * len(series), cfg)
+            assert fm.rows.tobytes() == want.rows.tobytes()
+
+    @pytest.mark.parametrize("values, step, labels, configs, message", [
+        (np.ones((10, 2)), 1.0, ["a"], [GeoStatConfig()], "counts differ"),
+        (np.ones((10, 0)), 1.0, [], [GeoStatConfig()], "empty collection"),
+        (np.ones(10), 1.0, ["a"], [GeoStatConfig()], "samples x series"),
+        (np.ones((10, 1)), 1.0, ["a"], [], "at least one config"),
+        (np.ones((10, 1)), 1.0, ["a"],
+         [GeoStatConfig(smoothing_iterations=0), GeoStatConfig()],
+         "share a smoothing"),
+        (np.ones((2, 1)), 1.0, ["a"], [GeoStatConfig()], "at least 3 samples"),
+        (np.ones((10, 1)), 0.0, ["a"], [GeoStatConfig()], "step must be positive"),
+        (np.ones((10, 1)), 1.0, ["a"], [GeoStatConfig(num_windows=4)],
+         "fewer than 3 per window"),
+    ], ids=["labels", "empty", "1-d", "no-config", "smoothings", "short",
+            "step", "windows"])
+    def test_rejects_bad_input(self, values, step, labels, configs, message):
+        with pytest.raises(ValueError, match=message):
+            univariate_grid(values, step, labels, configs)
+
+    def test_peak_memory_does_not_grow_with_series_count(self):
+        rng = np.random.default_rng(4)
+        configs = [GeoStatConfig(num_windows=w) for w in (1, 3)]
+        per_block = features.BLOCK_SAMPLES // 100
+
+        def transient_peak(n_series):
+            values = rng.normal(size=(100, n_series))
+            tracemalloc.start()
+            try:
+                grid = univariate_grid(values, 1.0, ["a"] * n_series, configs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(fm.rows.nbytes for fm in grid)
+
+        assert transient_peak(16 * per_block) < 1.1 * transient_peak(2 * per_block)
 
 
 class TestExtractMultivariate:

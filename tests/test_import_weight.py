@@ -30,6 +30,26 @@ def test_cli_import_leaves_out_the_process_pool():
                         "concurrent.futures")
 
 
+def test_extract_leaves_out_classifiers_and_warping(tmp_path):
+    data = tmp_path / "Toy"
+    data.mkdir()
+    for split in ("TRAIN", "TEST"):
+        (data / f"Toy_{split}.tsv").write_text(
+            "1\t0.0\t1.0\t0.5\t2.0\n2\t1.0\t0.0\t1.5\t0.5\n")
+    code = "\n".join([
+        "from geostat import cli",
+        f"assert cli.main(['extract', '--dataset', {str(data)!r}, '--out',",
+        f"                 {str(tmp_path / 'out')!r}, '--windows', '1',",
+        "                 '--smoothings', '0,1', '--min-samples', '4']) == 0",
+    ])
+    for module in ("geostat.classify", "geostat.dtw"):
+        assert not loaded_after(code, module)
+    # Their names still import from the package, loading them on use.
+    assert loaded_after("from geostat import nested_cv, DTWConfig",
+                        "geostat.classify")
+    assert loaded_after("import geostat\ngeostat.dtw_matrix", "geostat.dtw")
+
+
 def test_window_means_leave_out_masked_arrays():
     code = "\n".join([
         "import numpy as np",

@@ -351,6 +351,42 @@ class TestParseUCR:
         with pytest.raises(ValueError, match=r":2:"):
             parse_ucr_file(path)
 
+    def test_row_at_once_matches_field_by_field(self, tmp_path):
+        rows = [
+            ["1", "0.5", "nan", "NaN", " 2.5 ", "1_000", "NAN", "-1e-3"],
+            ["2", "?", "", "inf", "3", "-inf", "\t4", "+5"],
+            ["3", " nan", "Infinity", "7", "8 ", "1_0.5", "9"],
+            ["4", "1", "2", "3", "4", "5", "6"],
+        ]
+        path = tmp_path / "x.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        labels, series = parse_ucr_file(path)
+        assert labels == ["1", "2", "3", "4"]
+        for line_no, (row, got) in enumerate(zip(rows, series), start=1):
+            # The per-field loop every row went through before.
+            raw = []
+            for field in row[1:]:
+                token = field.strip()
+                raw.append(np.nan if token.lower() in {"", "nan", "?"}
+                           else float(token))
+            want = ingest._fill_missing(raw, str(path), line_no)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row, token, column", [
+        ("1\t0.0\toops\t1.0", "oops", 3),
+        ("1\t?\tNaN\t1.5\t1..5", "1..5", 5),
+        ("1\t0.5\t1_\t", "1_", 3),
+        ("1\t 1 2 \t3", "1 2", 2),
+    ])
+    def test_bad_value_names_token_and_column(self, tmp_path, row, token,
+                                              column):
+        path = tmp_path / "x.tsv"
+        path.write_text("1\t0.0\t1.0\n" + row + "\n")
+        with pytest.raises(ValueError) as err:
+            parse_ucr_file(path)
+        assert str(err.value) == (
+            f"{path}:2: bad value {token!r} in column {column}")
+
     def test_unequal_lengths_allowed(self, tmp_path):
         path = tmp_path / "x.tsv"
         path.write_text("1\t0.0\t1.0\n2\t0.0\t1.0\t2.0\t3.0\n")
@@ -577,3 +613,8 @@ class TestBinaryLabels:
     def test_missing_entry_rejected(self):
         with pytest.raises(ValueError):
             binary_fishing_labels(["tug"], {"trawlers": "fishing"})
+
+    def test_single_class_rejected(self):
+        with pytest.raises(ValueError, match=r"classes \['fishing'\]"):
+            binary_fishing_labels(["trawlers", "reefers"],
+                                  {"trawlers": "fishing", "reefers": "fishing"})

@@ -67,6 +67,20 @@ class TestInterpolateAt:
         ts = TimeSeries([0, 1], [[0, 10], [2, 20]])
         np.testing.assert_allclose(interpolate_at(ts, 0.5), [1, 15])
 
+    def test_matches_the_two_point_formula_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        t = np.cumsum(rng.uniform(0.1, 2.0, 40))
+        values = rng.normal(scale=1e3, size=(40, 7))
+        query = np.sort(rng.uniform(t[0], t[-1], 300))
+        idx = np.clip(np.searchsorted(t, query, side="right"), 1, t.size - 1)
+        frac = ((query - t[idx - 1]) / (t[idx] - t[idx - 1]))[:, None]
+        want = values[idx - 1] + frac * (values[idx] - values[idx - 1])
+        got = interpolate_at(TimeSeries(t, values), query)
+        assert got.tobytes() == want.tobytes()
+        for column in range(values.shape[1]):
+            alone = interpolate_at(TimeSeries(t, values[:, column]), query)
+            assert alone.tobytes() == want[:, column:column + 1].tobytes()
+
 
 class TestResampleUniform:
     def test_linear_ramp_invariant(self):

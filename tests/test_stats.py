@@ -6,14 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_summarize
 from geostat.stats import (
     MULTIVARIATE_QUANTILES,
+    SCRATCH_COPIES,
     UNIVARIATE_QUANTILES,
     SphericalSample,
     SummaryConfig,
     frechet_mean_variance,
     quantiles,
     summarize,
+    summarize_into,
 )
 
 
@@ -222,6 +225,81 @@ class TestSummarize:
         assert mapped["kurtosis"] == pytest.approx(base["kurtosis"], abs=1e-5)
         for q in ("q0.25", "q0.5", "q0.75"):
             assert mapped[q] == pytest.approx(a * base[q] + b, abs=1e-6)
+
+
+def summary_cases():
+    """Distributions of assorted shapes and layouts, as summarize meets
+    them: rows, strided windows, constants, underflow, large values."""
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(5, 3, 60))
+    block[2, 1] = 0.1  # a constant whose mean rounds
+    block[4, 0, :30] = 0.0
+    return [
+        rng.normal(size=41),
+        np.array([7.0]),
+        np.array([0.0, 7.6e-133]),
+        np.array([1e-160, 0.0, 0.0]),
+        rng.normal(scale=1e150, size=(2, 9)),
+        block,
+        # Windows of one size laid out as the featurizer views them.
+        block[:, :, 4:4 + 3 * 17].reshape(5, 3, 3, 17),
+        np.full((4, 6), -2.5),
+    ]
+
+
+class TestSummarizeInto:
+    """summarize works in reused scratch buffers; its results and errors
+    are those of freshly allocated arrays, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [SummaryConfig(),
+                                     SummaryConfig(quantiles=(0.5,))])
+    def test_matches_fresh_arrays(self, cfg):
+        scratch = np.full(SCRATCH_COPIES * 5 * 3 * 60, np.nan)
+        for x in summary_cases():
+            want = reference_summarize(x, cfg)
+            assert summarize(x, cfg).tobytes() == want.tobytes()
+            out = np.full(x.shape[:-1] + (cfg.size,), np.nan)
+            summarize_into(x, cfg, out, scratch)
+            assert out.tobytes() == want.tobytes()
+
+    def test_writes_a_strided_view(self):
+        x = np.random.default_rng(3).normal(size=(4, 25))
+        cfg = SummaryConfig()
+        rows = np.zeros((cfg.size, 4))
+        summarize_into(x, cfg, rows.T, np.empty(SCRATCH_COPIES * x.size))
+        assert rows.T.tobytes() == reference_summarize(x, cfg).tobytes()
+
+    @pytest.mark.parametrize("x", [
+        np.empty((3, 0)),
+        np.array([[1.0, 2.0], [np.nan, 1.0]]),
+        np.array([[1.0, np.inf, 2.0]]),
+        np.array([-np.inf, 1.0]),
+        np.array([[1.0, 2.0, 3.0], [1e200, -1e200, 3e200]]),
+        np.array([1e308, 1e308, -1e308, -1e308]),
+    ], ids=["empty", "nan", "inf", "-inf", "variance-overflow",
+            "mean-overflow"])
+    def test_raises_as_fresh_arrays_do(self, x):
+        cfg = SummaryConfig()
+        with pytest.raises(ValueError) as want:
+            reference_summarize(x, cfg)
+        scratch = np.zeros(SCRATCH_COPIES * x.size)
+        for call in (lambda: summarize(x, cfg),
+                     lambda: summarize_into(x, cfg, np.empty(
+                         x.shape[:-1] + (cfg.size,)), scratch)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80),
+           st.integers(1, 4))
+    @settings(max_examples=60)
+    @example([0.1, 0.1, 0.1], 1)
+    def test_rows_match_fresh_arrays(self, values, n_rows):
+        x = np.resize(np.array(values), (n_rows, len(values)))
+        x[-1] = x[-1][::-1]
+        cfg = SummaryConfig()
+        assert (summarize(x, cfg).tobytes()
+                == reference_summarize(x, cfg).tobytes())
 
 
 class TestFrechet:
