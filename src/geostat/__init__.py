@@ -14,15 +14,12 @@ from .series import (
     TimeSeries,
     UniformSeries,
     equalize_lengths,
-    interpolate_at,
     laplacian_smooth,
     resample_uniform,
 )
 from .geometry import (
     GeometricStack,
     build_stack,
-    curvature_magnitude,
-    signed_curvature,
     speed,
 )
 from .stats import (

@@ -5,7 +5,10 @@ and predicts with an exhaustive distance scan (Minkowski p in {1, 2}),
 optionally weighting votes by inverse distance. The SVM trains one binary
 soft-margin problem per class pair with a sequential-minimal-optimization
 solver working on the dual; multi-class prediction is one-vs-one majority
-vote. All tie-breaks land on the smallest class identifier so results are
+vote. The solver has no settings: it stops when the violation gap of its
+working pair is at most ``SMO_TOL`` (1e-3), or unconverged after
+``10 n^2`` pair updates of a binary problem of ``n`` points. All
+tie-breaks land on the smallest class identifier so results are
 deterministic.
 
 The harnesses (stratified k-fold splitting, grid search, nested
@@ -70,6 +73,9 @@ KNN_BLOCK_ENTRIES = 1 << 20
 # Binary SVM problems are solved in lockstep over stacks of zero-padded
 # kernel matrices holding at most this many entries, 8 MB of float64.
 SMO_BLOCK_ENTRIES = 1 << 20
+
+# SMO stops once the violation gap of its working pair is at most this.
+SMO_TOL = 1e-3
 
 
 def _class_sort_key(label: str):
@@ -266,19 +272,18 @@ def resolve_gamma(params: SVMParams, train: np.ndarray) -> float:
     return 1.0 / (train.shape[1] * var)
 
 
-def _step_cap(n: int, max_steps) -> int:
+def _step_cap(n: int) -> int:
     """Pair updates allowed for a binary problem of ``n`` points."""
-    return 10 * n * n if max_steps is None else int(max_steps)
+    return 10 * n * n
 
 
-def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
-              max_steps=None):
+def smo_solve(K: np.ndarray, y: np.ndarray, c: float):
     """Solve the binary soft-margin dual by sequential minimal optimization.
 
     Maximizes ``sum(alpha) - alpha' Q alpha / 2`` with ``Q = yy' * K`` over
     the box ``0 <= alpha <= c`` intersected with ``sum(alpha * y) = 0``. The
     working pair at each step is the maximally violating one, and iteration
-    stops once the violation gap falls below ``tol``.
+    stops once the violation gap is at most ``SMO_TOL``.
 
     ``y`` is a nonempty 1-d array of labels that are exactly +1 or -1, and
     ``K`` a finite ``(n, n)`` kernel matrix with ``n = y.size``. This is the
@@ -290,8 +295,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
     Returns ``(alpha, bias, converged, steps)`` where ``bias`` completes the
     decision function ``f(x) = sum alpha_i y_i K(x_i, x) + bias``,
     ``converged`` reports whether the gap criterion was met within
-    ``max_steps`` pair updates (default ``10 n^2``), and ``steps`` counts
-    the pair updates made.
+    ``10 n^2`` pair updates, and ``steps`` counts the pair updates made.
 
     Raises
     ------
@@ -309,14 +313,13 @@ def smo_solve(K: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3,
         raise ValueError("labels must be +1 or -1")
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    (result,) = _smo_lockstep([(n, lambda: K)],
-                              [(0, y, c, _step_cap(n, max_steps))], tol)
+    (result,) = _smo_lockstep([(n, lambda: K)], [(0, y, c, _step_cap(n))])
     if isinstance(result, ValueError):
         raise result
     return result
 
 
-def _smo_lockstep(kernels, problems, tol: float) -> list:
+def _smo_lockstep(kernels, problems) -> list:
     """Solve many binary duals in lockstep, in blocks of padded kernels.
 
     ``kernels`` holds ``(n, make)`` pairs, where ``make()`` returns an
@@ -367,14 +370,14 @@ def _smo_lockstep(kernels, problems, tol: float) -> list:
         alpha, bias, converged, steps = _smo_block(
             stack, np.array([slot for _, slot, _ in todo]), y,
             np.array([problems[b][2] for b, _, _ in todo], dtype=float),
-            np.array([problems[b][3] for b, _, _ in todo]), tol)
+            np.array([problems[b][3] for b, _, _ in todo]))
         for row, (b, _, n) in enumerate(todo):
             results[b] = (alpha[row, :n], float(bias[row]),
                           bool(converged[row]), int(steps[row]))
     return results
 
 
-def _smo_block(Kt, which, y, c, caps, tol: float):
+def _smo_block(Kt, which, y, c, caps):
     """Lockstep SMO over one block of problems; see ``smo_solve``.
 
     Problem b solves the dual of the kernel whose transpose is
@@ -440,7 +443,7 @@ def _smo_block(Kt, which, y, c, caps, tol: float):
         m_val = yg_ij[:n]
         M_val = yg_ij[n:]
         both = has_i & has_j
-        gap_closed = m_val - M_val <= tol
+        gap_closed = m_val - M_val <= SMO_TOL
         if np.count_nonzero(both) < n:
             # An empty working set ends a problem as converged.
             m_val = np.where(has_i, m_val, 0.0)
@@ -465,7 +468,7 @@ def _smo_block(Kt, which, y, c, caps, tol: float):
                              hi)
         d_j = a_j_new - a_j
         d_ij = np.concatenate((-s * d_j, d_j))
-        # A numerically stuck pair stops while the gap is still above tol.
+        # A numerically stuck pair stops while the gap is still above SMO_TOL.
         done = gap_closed | (np.abs(d_j) < 1e-15)
         n_done = np.count_nonzero(done)
         if n_done:
@@ -520,8 +523,7 @@ class SVMModel:
     warnings: tuple = field(default=())
 
 
-def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
-            max_steps=None) -> SVMModel:
+def svm_fit(points, labels, params: SVMParams) -> SVMModel:
     """Train one-vs-one soft-margin SVMs over all class pairs.
 
     The smaller class identifier of each pair takes the +1 side, and the
@@ -532,7 +534,7 @@ def svm_fit(points, labels, params: SVMParams, tol: float = 1e-3,
     """
     pts, classes, codes = _training_data(points, labels)
     ((model,),) = _svm_fit_many(pts, classes, codes, [np.arange(pts.shape[0])],
-                                [[params]], tol, max_steps)
+                                [[params]])
     if isinstance(model, ValueError):
         raise model
     return model
@@ -561,8 +563,7 @@ def _pair_kernel(points, members, kernel: str, gamma: float) -> np.ndarray:
     return kernel_matrix(sub, sub, kernel, gamma)
 
 
-def _svm_fit_many(pts, classes, codes, folds, params_lists, tol: float = 1e-3,
-                  max_steps=None):
+def _svm_fit_many(pts, classes, codes, folds, params_lists):
     """``svm_fit`` for parameter points on many training folds at once.
 
     ``pts``, ``classes`` and ``codes`` are as ``_training_data`` returns
@@ -603,10 +604,10 @@ def _svm_fit_many(pts, classes, codes, folds, params_lists, tol: float = 1e-3,
                     for _, _, members, _ in pairs]
             first, gamma = first_kernel[params.kernel]
             plans.append((params, gamma, len(problems)))
-            problems += [(first + q, y, params.c, _step_cap(y.size, max_steps))
+            problems += [(first + q, y, params.c, _step_cap(y.size))
                          for q, (_, _, _, y) in enumerate(pairs)]
         fits.append((pairs, plans))
-    results = _smo_lockstep(kernels, problems, tol)
+    results = _smo_lockstep(kernels, problems)
 
     def assemble(pairs, plan):
         params, gamma, start = plan
@@ -868,26 +869,6 @@ class CVReport:
     classes: tuple
     confusion: np.ndarray
     notes: tuple = ()
-
-    @property
-    def minimum(self) -> float:
-        return float(np.min(self.fold_accuracies))
-
-    @property
-    def maximum(self) -> float:
-        return float(np.max(self.fold_accuracies))
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.fold_accuracies))
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.fold_accuracies))
-
-    @property
-    def pooled_accuracy(self) -> float:
-        return float(np.trace(self.confusion) / self.confusion.sum())
 
 
 def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,

@@ -37,11 +37,28 @@ from .stats import MULTIVARIATE_QUANTILES, SummaryConfig
 __all__ = ["main", "RunConfig"]
 
 MODEL_CHOICES = ("knn", "svm")
+FORMATS = ("ucr", "vessel", "features")
+_KIND_NAMES = {str: "a string", int: "an integer", (int, float): "a number",
+               (list, tuple): "a list"}
+
+
+def _check(name: str, value, kind, least=None) -> None:
+    """Raise ``ValueError`` unless ``value`` is a ``kind`` (a bool is not a
+    number) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment manifest. JSON-file fields and flags share names."""
+    """One experiment manifest. JSON-file fields and flags share names.
+
+    Each field is checked for its type and range on construction, so a bad
+    config value is a ``ValueError`` before any work starts. The lists must
+    not repeat a value, and only ``masks`` may be empty.
+    """
 
     dataset: str = ""
     format: str = "ucr"  # ucr | vessel | features
@@ -59,19 +76,30 @@ class RunConfig:
     band: float = -1.0  # warping band fraction; negative = unconstrained
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if not self.windows or not self.smoothings:
-            raise ValueError("the (windows, smoothings) grid must be nonempty")
+        for name in ("dataset", "format", "out", "class_map"):
+            _check(name, getattr(self, name), str)
+        for name, least in (("seed", 0), ("jobs", 1), ("repetitions", 1),
+                            ("min_samples", 3), ("folds", 2)):
+            _check(name, getattr(self, name), int, least)
+        _check("band", self.band, (int, float))
+        if not self.band <= 1.0:
+            raise ValueError(f"band must be at most 1, got {self.band!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}")
+        for name, kind, least in (("smoothings", int, 0), ("windows", int, 1),
+                                  ("models", str, None), ("masks", str, None)):
+            values = getattr(self, name)
+            _check(name, values, (list, tuple))
+            for value in values:
+                _check(f"each of {name}", value, kind, least)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
+            if not values and name != "masks":
+                raise ValueError(f"{name} must list at least one value")
+            object.__setattr__(self, name, tuple(values))
         for m in self.models:
             if m not in MODEL_CHOICES:
                 raise ValueError(f"unknown model {m!r}")
-        object.__setattr__(self, "smoothings", tuple(int(s) for s in self.smoothings))
-        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "masks", tuple(self.masks))
 
     @property
     def grid_cells(self) -> list:
@@ -315,12 +343,10 @@ def _nested_feature_matrix(cfg: RunConfig) -> FeatureMatrix:
             num_windows=1,
             summary=SummaryConfig(quantiles=MULTIVARIATE_QUANTILES))
         return ingest.vessel_feature_matrix(tracks, geo_cfg)
-    if cfg.format == "features":
-        path = cfg.dataset
-        if os.path.isdir(path):
-            path = os.path.join(path, "features.csv")
-        return features.read_feature_csv(path)
-    raise ValueError(f"nested does not support format {cfg.format!r}")
+    path = cfg.dataset
+    if os.path.isdir(path):
+        path = os.path.join(path, "features.csv")
+    return features.read_feature_csv(path)
 
 
 def _nested_task(args):
@@ -485,13 +511,13 @@ def cmd_windows(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dtw(cfg: RunConfig) -> int:
-    from . import classify, dtw
+    from . import dtw
     ds = ingest.load_ucr(cfg.dataset)
     band = None if cfg.band < 0 else cfg.band
     dtw_cfg = dtw.DTWConfig(band_fraction=band)
     pred = dtw.nn_dtw_classify(ds.train_series, ds.train_labels,
                                ds.test_series, dtw_cfg)
-    acc = classify.accuracy(ds.test_labels, pred)
+    acc = float(np.mean(pred == np.array(ds.test_labels, dtype=object)))
     _write_csv(os.path.join(cfg.out, "dtw_results.csv"),
                ["dataset", "band", "accuracy"],
                [[ds.name, "" if band is None else _fmt(band), _fmt(acc)]])
@@ -514,7 +540,7 @@ def _str_list(text: str) -> tuple:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--dataset", help="dataset path")
-    p.add_argument("--format", choices=("ucr", "vessel", "features"))
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int)
@@ -540,6 +566,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{args.config}: a config file holds a JSON object")
+        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
+        if unknown:
+            raise ValueError(f"{args.config}: unknown fields {sorted(unknown)}")
     values = {}
     for f in fields(RunConfig):
         if f.name in file_values:
@@ -552,13 +583,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+# Each command and the input formats it reads.
 COMMANDS = {
-    "extract": cmd_extract,
-    "evaluate": cmd_evaluate,
-    "nested": cmd_nested,
-    "ablate": cmd_ablate,
-    "windows": cmd_windows,
-    "dtw": cmd_dtw,
+    "extract": (cmd_extract, ("ucr",)),
+    "evaluate": (cmd_evaluate, ("ucr", "features")),
+    "nested": (cmd_nested, ("vessel", "features")),
+    "ablate": (cmd_ablate, ("ucr", "features")),
+    "windows": (cmd_windows, ("ucr", "features")),
+    "dtw": (cmd_dtw, ("ucr",)),
 }
 
 
@@ -570,9 +602,13 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         _add_common_flags(sub.add_parser(name))
     args = parser.parse_args(argv)
+    command, formats = COMMANDS[args.command]
     try:
         cfg = build_config(args)
-        return COMMANDS[args.command](cfg)
+        if cfg.format not in formats:
+            raise ValueError(f"{args.command} does not support format "
+                             f"{cfg.format!r}")
+        return command(cfg)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

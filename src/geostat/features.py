@@ -63,8 +63,6 @@ UNIVARIATE_DISTRIBUTIONS = (
 # intrinsic variance rather than by a scalar summary vector.
 FRECHET_STATISTICS = ("frechet_lat", "frechet_lon", "frechet_var")
 
-STATISTIC_GROUPS = ("low_quantiles", "mid_quantiles", "high_quantiles")
-
 # Samples featurized together: a block holds this many samples' worth of
 # series (16 series of 500 samples), which bounds the transient arrays of
 # the batched path whatever the number of series. Blocks of 4,000 to
@@ -117,10 +115,6 @@ class FeatureMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "column_labels", cols)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
 
     @property
     def n_columns(self) -> int:
@@ -208,15 +202,16 @@ def extract_univariate(us: UniformSeries, cfg: GeoStatConfig):
 
 
 def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
-                         extra_distributions=None, degrees: bool = True):
+                         extra_distributions=None):
     """Feature row of a multivariate series with spherical positions.
 
     The first two value dimensions are read as (latitude, longitude), in
-    degrees by default. Per window, position contributes the intrinsic mean
-    coordinates and intrinsic variance; speed and its derivative contribute
-    scalar summary vectors; each entry of ``extra_distributions`` (a mapping
-    of name to a scalar sample array aligned with the series) contributes a
-    scalar summary vector as well.
+    degrees, and the mean coordinates are given in degrees. Per window,
+    position contributes the intrinsic mean coordinates and intrinsic
+    variance; speed and its derivative contribute scalar summary vectors;
+    each entry of ``extra_distributions`` (a mapping of name to a scalar
+    sample array aligned with the series) contributes a scalar summary
+    vector as well.
     """
     if us.dim < 2:
         raise ValueError("extract_multivariate requires dimension >= 2")
@@ -227,20 +222,15 @@ def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
     bounds = _check_window_sizes(us.n_samples, cfg.num_windows)
     stack = build_stack(us, cfg.smoothing_iterations)
 
-    lat = stack.base.values[:, 0]
-    lon = stack.base.values[:, 1]
-    if degrees:
-        lat = np.radians(lat)
-        lon = np.radians(lon)
+    lat = np.radians(stack.base.values[:, 0])
+    lon = np.radians(stack.base.values[:, 1])
 
     values = []
     labels = []
     for w, (a, b) in enumerate(bounds):
         (m_lat, m_lon), var = frechet_mean_variance(
             SphericalSample(lat[a:b], lon[a:b]))
-        if degrees:
-            m_lat, m_lon = np.degrees(m_lat), np.degrees(m_lon)
-        values.extend([m_lat, m_lon, var])
+        values.extend([np.degrees(m_lat), np.degrees(m_lon), var])
         labels.extend(("position", w, s) for s in FRECHET_STATISTICS)
 
     scalar_dists = [("speed", stack.speed), ("speed_derivative", stack.speed_deriv)]

@@ -5,7 +5,12 @@ Its augmented velocity is ``v = (1, dx/dt)``, its speed ``|v| >= 1``, and its
 curvature measures how fast the unit tangent ``v / |v|`` turns. For a
 univariate series this reduces to the classical planar expression
 ``|x''| / (1 + x'^2)^(3/2)``; keeping the sign of ``x''`` gives the signed
-variant. Straight lines have zero curvature regardless of slope.
+variant. For d > 1 the unit tangent is formed pointwise and differentiated
+numerically in time, and the curvature is the norm of that derivative.
+Straight lines have zero curvature regardless of slope. Curvature is
+computed only as part of a signal set: :func:`univariate_signals` for many
+univariate series on one grid, :func:`build_stack` for one series of any
+dimension.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from .series import UniformSeries, smooth_values
 __all__ = [
     "GeometricStack",
     "speed",
-    "curvature_magnitude",
-    "signed_curvature",
     "build_stack",
     "univariate_signals",
 ]
@@ -68,24 +71,6 @@ def _planar_curvature(xd: np.ndarray, xdd: np.ndarray) -> np.ndarray:
     return xdd / (1.0 + xd**2) ** 1.5
 
 
-def curvature_magnitude(first_deriv: UniformSeries,
-                        second_deriv: UniformSeries) -> np.ndarray:
-    """Pointwise curvature magnitude of the time-augmented curve.
-
-    For univariate input this is the closed form
-    ``|x''| / (1 + x'^2)^(3/2)``. For d > 1 the unit tangent of the augmented
-    velocity is formed pointwise and differentiated numerically; the result
-    is the pointwise norm of that derivative. The denominator never
-    vanishes because the augmented speed is at least 1.
-    """
-    if first_deriv.values.shape != second_deriv.values.shape:
-        raise ValueError("derivative series must be aligned")
-    if first_deriv.dim == 1:
-        return np.abs(_planar_curvature(first_deriv.values[:, 0],
-                                        second_deriv.values[:, 0]))
-    return _turn_rate(first_deriv.values, first_deriv.step)
-
-
 def _turn_rate(xd: np.ndarray, step, first=0, last=-1) -> np.ndarray:
     """Norm of the derivative of the unit tangent of ``(1, xd)``.
 
@@ -94,16 +79,6 @@ def _turn_rate(xd: np.ndarray, step, first=0, last=-1) -> np.ndarray:
     v = np.hstack([np.ones((xd.shape[0], 1)), xd])
     unit = v / np.linalg.norm(v, axis=1, keepdims=True)
     return np.linalg.norm(_diff_values(unit, step, first, last), axis=1)
-
-
-def signed_curvature(first_deriv: UniformSeries,
-                     second_deriv: UniformSeries) -> np.ndarray:
-    """Curvature with the sign of the second derivative kept (univariate only)."""
-    if first_deriv.dim != 1:
-        raise ValueError("signed curvature is defined for univariate series only")
-    if first_deriv.values.shape != second_deriv.values.shape:
-        raise ValueError("derivative series must be aligned")
-    return _planar_curvature(first_deriv.values[:, 0], second_deriv.values[:, 0])
 
 
 @dataclass(frozen=True)
@@ -121,10 +96,6 @@ class GeometricStack:
     speed_deriv: np.ndarray
     curvature: np.ndarray
     signed_curvature: Optional[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
     @property
     def n_samples(self) -> int:
@@ -163,8 +134,7 @@ def build_stack(us: UniformSeries, smoothing_iterations: int) -> GeometricStack:
         kappa = np.abs(kappa_signed)
     else:
         kappa_signed = None
-        kappa = smooth_values(
-            curvature_magnitude(us.with_values(xd), us.with_values(xdd_raw)), k)
+        kappa = smooth_values(_turn_rate(xd, us.step), k)
 
     return GeometricStack(
         base=us.with_values(base),

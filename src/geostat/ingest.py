@@ -83,19 +83,9 @@ class UCRDataset:
     test_series: tuple
 
     @property
-    def classes(self) -> tuple:
-        return tuple(sorted(set(self.train_labels)))
-
-    @property
     def equal_length(self) -> bool:
         lengths = {len(s) for s in self.train_series + self.test_series}
         return len(lengths) == 1
-
-    @property
-    def lengths(self) -> tuple:
-        ls = [len(s) for s in self.train_series + self.test_series]
-        return (min(ls), max(ls))
-
 
 def _fill_missing(values, path, line_no):
     """Linearly interpolate interior gaps; hold the nearest value at the ends."""

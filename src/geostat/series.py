@@ -7,6 +7,10 @@ Two container types are used throughout the package:
 * :class:`UniformSeries` holds an equally spaced sequence, the canonical
   working form all derivative-based computations expect.
 
+Both resamplers, :func:`resample_uniform` and :func:`equalize_lengths`,
+evaluate the piecewise-linear interpolant of a series on a grid of times
+inside its span, which makes them exact at sample times.
+
 All containers are immutable after construction and every function here is
 pure, so shared instances can be used concurrently without locking.
 """
@@ -20,7 +24,6 @@ import numpy as np
 __all__ = [
     "TimeSeries",
     "UniformSeries",
-    "interpolate_at",
     "resample_uniform",
     "laplacian_smooth",
     "smooth_values",
@@ -122,38 +125,20 @@ class UniformSeries:
     def timestamps(self) -> np.ndarray:
         return self.start_time + self.step * np.arange(self.n_samples)
 
-    @property
-    def duration(self) -> float:
-        return self.step * (self.n_samples - 1)
-
     def with_values(self, values: np.ndarray) -> "UniformSeries":
         """Same time grid, new values."""
         return UniformSeries(self.start_time, self.step, values)
 
 
-def interpolate_at(ts: TimeSeries, t) -> np.ndarray:
-    """Evaluate the piecewise-linear interpolant of ``ts`` at time(s) ``t``.
-
-    Exact at sample times. ``t`` may be a scalar or a 1-d array; the result
-    has shape (d,) for a scalar query and (k, d) for an array of k queries.
-
-    Raises
-    ------
-    ValueError
-        If any query time falls outside ``[timestamps[0], timestamps[-1]]``.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    t0, tn = ts.timestamps[0], ts.timestamps[-1]
-    if np.any(t_arr < t0) or np.any(t_arr > tn):
-        raise ValueError(
-            f"query time out of range [{t0}, {tn}]")
-    # Right segment index for each query; clip so t == tn uses the last segment.
-    idx = np.searchsorted(ts.timestamps, t_arr, side="right")
-    idx = np.clip(idx, 1, ts.n_samples - 1)
-    out = _lerp(ts.timestamps, ts.values, idx, t_arr)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
-    return out
+def _values_at(ts: TimeSeries, grid: np.ndarray) -> np.ndarray:
+    """The piecewise-linear interpolant of ``ts`` at the times of the 1-d
+    array ``grid``, all within ``ts``'s span: an ``(len(grid), d)`` array,
+    exact at sample times."""
+    # Right segment index for each time; clip so the last time uses the last
+    # segment.
+    idx = np.clip(np.searchsorted(ts.timestamps, grid, side="right"), 1,
+                  ts.n_samples - 1)
+    return _lerp(ts.timestamps, ts.values, idx, grid)
 
 
 def _lerp(knots, values, idx, t) -> np.ndarray:
@@ -190,7 +175,7 @@ def resample_uniform(ts: TimeSeries, min_samples: int = 500) -> UniformSeries:
         raise ValueError("cannot resample a series of zero duration")
     m = max(int(min_samples), ts.n_samples)
     grid = np.linspace(ts.timestamps[0], ts.timestamps[-1], m)
-    vals = interpolate_at(ts, grid)
+    vals = _values_at(ts, grid)
     step = ts.duration / (m - 1)
     return UniformSeries(float(ts.timestamps[0]), step, vals)
 
@@ -261,7 +246,7 @@ def equalize_lengths(collection, min_samples: int = 500) -> list[UniformSeries]:
         m = min(max(m, 3), n_target)
         grid = ts.timestamps[0] + step * np.arange(m)
         grid = np.minimum(grid, ts.timestamps[-1])
-        vals = interpolate_at(ts, grid)
+        vals = _values_at(ts, grid)
         if m < n_target:
             pad = np.zeros((n_target - m, ts.dim))
             vals = np.vstack([vals, pad])

@@ -2,16 +2,18 @@
 
 The scalar summaries are deliberately plain: range, population moments, and
 order-statistic quantiles with linear interpolation at fractional positions
-``h = q * (N - 1)``. Kurtosis is reported as excess (normal data scores 0),
-and constant samples (zero range) yield std, skew and kurtosis of exactly 0
-so that constant windows still produce finite feature vectors. Every
-summary runs in caller-provided scratch arrays (:func:`summarize_into`), so
-a caller summarizing many blocks allocates sample-sized memory once.
+``h = q * (N - 1)``, which :func:`summarize` gives after the moments.
+Kurtosis is reported as excess (normal data scores 0), and constant samples
+(zero range) yield std, skew and kurtosis of exactly 0 so that constant
+windows still produce finite feature vectors. Every summary runs in
+caller-provided scratch arrays (:func:`summarize_into`), so a caller
+summarizing many blocks allocates sample-sized memory once.
 
 Spherical positions cannot be summarized by coordinate-wise quantiles, so
 they are summarized by the point minimizing the sum of squared great-circle
 distances (the intrinsic mean) together with that minimal sum (the intrinsic
-variance).
+variance). Its iteration has fixed settings, ``FRECHET_TOL`` and
+``FRECHET_MAX_ITERATIONS``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "MULTIVARIATE_QUANTILES",
     "summarize",
     "summarize_into",
-    "quantiles",
     "frechet_mean_variance",
 ]
 
@@ -82,19 +83,6 @@ def _sorted_quantiles(xs: np.ndarray, qs) -> np.ndarray:
     hi = np.minimum(lo + 1, n - 1)
     frac = h - lo
     return xs[..., lo] + (xs[..., hi] - xs[..., lo]) * frac
-
-
-def quantiles(samples, qs) -> np.ndarray:
-    """Order-statistic quantiles with linear interpolation.
-
-    Probability ``q`` maps to the fractional index ``h = q * (N - 1)`` of the
-    sorted samples; the result interpolates linearly between the flanking
-    order statistics.
-    """
-    x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
-    if x.size == 0:
-        raise ValueError("cannot take quantiles of an empty sample")
-    return _sorted_quantiles(x, qs)
 
 
 # Sample-sized arrays :func:`summarize_into` works in.
@@ -193,10 +181,6 @@ class SphericalSample:
         object.__setattr__(self, "latitudes", lat)
         object.__setattr__(self, "longitudes", lon)
 
-    @property
-    def n_points(self) -> int:
-        return self.latitudes.size
-
     def unit_vectors(self) -> np.ndarray:
         cl = np.cos(self.latitudes)
         return np.column_stack([
@@ -206,14 +190,18 @@ class SphericalSample:
         ])
 
 
+# The intrinsic mean iteration stops once its step is shorter than
+# FRECHET_TOL radians, and fails after FRECHET_MAX_ITERATIONS steps.
+FRECHET_TOL = 1e-12
+FRECHET_MAX_ITERATIONS = 200
+
+
 def _geodesic_to(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
     dots = np.clip(points @ mu, -1.0, 1.0)
     return np.arccos(dots)
 
 
-def frechet_mean_variance(sample: SphericalSample,
-                          tol: float = 1e-12,
-                          max_iterations: int = 200):
+def frechet_mean_variance(sample: SphericalSample):
     """Intrinsic mean and variance of points on the unit sphere.
 
     Minimizes ``sum_i d(p_i, p)^2`` over sphere points ``p``, where ``d`` is
@@ -230,7 +218,8 @@ def frechet_mean_variance(sample: SphericalSample,
         If the points' Euclidean mean is (numerically) zero, so no starting
         hemisphere can be identified.
     RuntimeError
-        If the update has not converged after ``max_iterations`` steps.
+        If the update step is still at least ``FRECHET_TOL`` radians after
+        ``FRECHET_MAX_ITERATIONS`` steps.
     """
     pts = sample.unit_vectors()
     centroid = pts.mean(axis=0)
@@ -239,7 +228,7 @@ def frechet_mean_variance(sample: SphericalSample,
         raise ValueError("points have no well-defined mean direction")
     mu = centroid / norm
 
-    for _ in range(max_iterations):
+    for _ in range(FRECHET_MAX_ITERATIONS):
         theta = _geodesic_to(mu, pts)
         # Log map: tangent vectors of length theta toward each point.
         perp = pts - np.outer(np.cos(theta), mu)
@@ -247,7 +236,7 @@ def frechet_mean_variance(sample: SphericalSample,
         scale = np.where(perp_norm > 1e-15, theta / np.maximum(perp_norm, 1e-300), 0.0)
         tangent_mean = (perp * scale.reshape(-1, 1)).mean(axis=0)
         t_norm = np.linalg.norm(tangent_mean)
-        if t_norm < tol:
+        if t_norm < FRECHET_TOL:
             break
         mu = np.cos(t_norm) * mu + np.sin(t_norm) * (tangent_mean / t_norm)
         mu = mu / np.linalg.norm(mu)

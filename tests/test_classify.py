@@ -320,6 +320,16 @@ def assert_same_report(got, want):
     assert got.notes == want.notes
 
 
+def capped_smo_solve(K, y, c, max_steps):
+    """``smo_solve`` with its pair-update cap replaced by ``max_steps``,
+    unless that is None."""
+    if max_steps is None:
+        return smo_solve(K, y, c)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_step_cap", lambda n: max_steps)
+        return smo_solve(K, y, c)
+
+
 def exact_match_problems():
     """(name, K, y, c, max_steps) covering every exit of the solver."""
     rng = np.random.default_rng(11)
@@ -548,7 +558,7 @@ class TestSVM:
 
     def test_matches_reference_exactly(self):
         for name, K, y, c, max_steps in exact_match_problems():
-            alpha, bias, converged, _ = smo_solve(K, y, c, max_steps=max_steps)
+            alpha, bias, converged, _ = capped_smo_solve(K, y, c, max_steps)
             ref_alpha, ref_bias, ref_converged = reference_smo(
                 K, y, c, max_steps=max_steps)
             assert np.array_equal(alpha, ref_alpha), name
@@ -570,7 +580,7 @@ class TestSVM:
         np.testing.assert_array_equal(alpha, 0.0)
         K = kernel_matrix(x, x, "linear", 1.0)
         for cap in (1, 2):
-            *_, converged, steps = smo_solve(K, y, 10.0, max_steps=cap)
+            *_, converged, steps = capped_smo_solve(K, y, 10.0, cap)
             assert steps == cap and not converged
         *_, converged, steps = smo_solve(K, y, 10.0)
         assert converged and steps > 2
@@ -621,16 +631,17 @@ class TestSVM:
         with pytest.raises(ValueError):
             svm_fit([[0.0], [1.0]], ["a", "a"], SVMParams())
 
-    def test_iteration_cap_warns_in_metadata(self):
+    def test_iteration_cap_warns_in_metadata(self, monkeypatch):
+        monkeypatch.setattr(classify, "_step_cap", lambda n: 1)
         x, y = make_blobs(20, [0.0, 1.0], spread=2.0, seed=14)
-        model = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"), max_steps=1)
+        model = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"))
         assert not model.converged
         assert model.warnings
         assert model.smo_steps == 1
         # Still usable for prediction.
         assert len(svm_predict(model, x)) == len(y)
 
-    def test_stuck_pair_is_not_reported_as_cap(self):
+    def test_stuck_pair_is_not_reported_as_cap(self, monkeypatch):
         # The first step moves alpha by less than 1e-15, far below the cap.
         model = svm_fit([[-1e8], [1e8], [0.5e8]], ["a", "b", "b"],
                         SVMParams(c=1.0, kernel="linear"))
@@ -639,17 +650,19 @@ class TestSVM:
         assert model.warnings == (
             "pair (a, b) stopped on a numerically stuck step before the gap "
             "closed",)
+        monkeypatch.setattr(classify, "_step_cap", lambda n: 1)
         x, y = make_blobs(20, [0.0, 1.0], spread=2.0, seed=14)
-        capped = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"), max_steps=1)
+        capped = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"))
         assert capped.warnings == ("pair (0, 1) hit the iteration cap",)
 
 
-def solve_in_lockstep(problems, tol=1e-3):
-    """Solve ``(name, K, y, c, max_steps)`` problems in one lockstep call."""
+def solve_in_lockstep(problems):
+    """Solve ``(name, K, y, c, max_steps)`` problems in one lockstep call;
+    a ``max_steps`` of None is the solver's own cap."""
     kernels = [(y.size, lambda K=K: K) for _, K, y, _, _ in problems]
-    return classify._smo_lockstep(
-        kernels, [(u, y, c, classify._step_cap(y.size, max_steps))
-                  for u, (_, _, y, c, max_steps) in enumerate(problems)], tol)
+    return classify._smo_lockstep(kernels, [
+        (u, y, c, classify._step_cap(y.size) if max_steps is None else max_steps)
+        for u, (_, _, y, c, max_steps) in enumerate(problems)])
 
 
 @pytest.fixture
@@ -658,9 +671,9 @@ def block_sizes(monkeypatch):
     seen = []
     solve = classify._smo_block
 
-    def spy(Kt, which, y, c, caps, tol):
+    def spy(Kt, which, y, c, caps):
         seen.append(y.shape)
-        return solve(Kt, which, y, c, caps, tol)
+        return solve(Kt, which, y, c, caps)
 
     monkeypatch.setattr(classify, "_smo_block", spy)
     return seen
@@ -680,7 +693,7 @@ class TestLockstep:
             assert np.array_equal(alpha, ref_alpha), name
             assert bias == ref_bias, name
             assert converged == ref_converged, name
-            assert steps == smo_solve(K, y, c, max_steps=max_steps)[3], name
+            assert steps == capped_smo_solve(K, y, c, max_steps)[3], name
 
     def test_every_exit_inside_one_batch(self, block_sizes):
         problems = [p for p in exact_match_problems()
@@ -704,7 +717,7 @@ class TestLockstep:
         for (name, K, y, c, max_steps), result in zip(problems, got):
             assert np.array_equal(result[0], reference_smo(
                 K, y, c, max_steps=max_steps)[0]), name
-            assert result[1:] == smo_solve(K, y, c, max_steps=max_steps)[1:], name
+            assert result[1:] == capped_smo_solve(K, y, c, max_steps)[1:], name
 
     @pytest.mark.parametrize("per_block", [1, 2, 3])
     def test_block_size_does_not_change_results(self, monkeypatch, block_sizes,
@@ -734,7 +747,7 @@ class TestLockstep:
             problems = [(u, y, 1.0, 10 * n * n) for u in range(count)]
             tracemalloc.start()
             try:
-                classify._smo_lockstep(kernels, problems, 1e-3)
+                classify._smo_lockstep(kernels, problems)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -915,8 +928,7 @@ class TestNestedCV:
         x, y = make_blobs(100, [0.0, 4.0], spread=0.4, seed=10)
         report = nested_cv(x, y, default_svm_grid(), outer_k=10, inner_k=10,
                            seed=0)
-        assert report.mean >= 0.98
-        assert report.minimum <= report.mean <= report.maximum
+        assert np.mean(report.fold_accuracies) >= 0.98
         assert report.confusion.sum() == 200
         # Row sums of the pooled confusion equal per-class test counts.
         np.testing.assert_array_equal(report.confusion.sum(axis=1), [100, 100])
@@ -927,7 +939,7 @@ class TestNestedCV:
         y_perm = [y[i] for i in rng.permutation(len(y))]
         report = nested_cv(x, y_perm, [SVMParams(c=1.0, kernel="linear")],
                            outer_k=5, inner_k=5, seed=1)
-        assert 0.4 <= report.mean <= 0.6
+        assert 0.4 <= np.mean(report.fold_accuracies) <= 0.6
 
     def test_bit_reproducible(self):
         x, y = make_blobs(20, [0.0, 3.0], seed=12)
@@ -938,12 +950,17 @@ class TestNestedCV:
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
     def test_report_statistics_consistent(self):
-        report = CVReport((0.5, 0.7, 0.9), (None,) * 3, ("a", "b"),
-                          np.array([[5, 1], [2, 4]]))
-        assert report.minimum == 0.5
-        assert report.maximum == 0.9
-        assert report.mean == pytest.approx(0.7)
-        assert report.pooled_accuracy == pytest.approx(9 / 12)
+        # 20 rows in 5 outer folds of 4: the pooled confusion's accuracy is
+        # the mean of the fold accuracies.
+        x, y = make_blobs(10, [0.0, 1.0], spread=1.5, seed=13)
+        report = nested_cv(x, y, default_knn_grid(), outer_k=5, inner_k=3,
+                           seed=2)
+        assert len(report.fold_accuracies) == len(report.chosen_params) == 5
+        assert report.classes == ("0", "1")
+        np.testing.assert_array_equal(report.confusion.sum(axis=1), [10, 10])
+        assert np.trace(report.confusion) / 20 == pytest.approx(
+            np.mean(report.fold_accuracies))
+        assert 0.0 < np.mean(report.fold_accuracies) < 1.0
 
 
 @pytest.fixture
@@ -952,9 +969,9 @@ def lockstep_calls(monkeypatch):
     calls = []
     solve = classify._smo_lockstep
 
-    def spy(kernels, problems, tol):
+    def spy(kernels, problems):
         calls.append(len(problems))
-        return solve(kernels, problems, tol)
+        return solve(kernels, problems)
 
     monkeypatch.setattr(classify, "_smo_lockstep", spy)
     return calls
@@ -1006,7 +1023,7 @@ class TestNestedCVAgainstReference:
         assert {type(p) for p in report.chosen_params} == {KNNParams, SVMParams}
 
     def test_capped_refits_report_the_same_notes(self, monkeypatch):
-        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        monkeypatch.setattr(classify, "_step_cap", lambda n: 1)
         x, y = make_blobs(10, [0.0, 1.0, 2.0], spread=1.0, seed=12)
         for grid in (default_svm_grid(), MIXED_GRID):
             got = nested_cv(x, y, grid, outer_k=3, inner_k=3, seed=4)

@@ -3,6 +3,7 @@ import csv
 import functools
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -98,6 +99,83 @@ class TestEvaluate:
 
     def test_missing_dataset_is_error(self, tmp_path):
         assert run("evaluate", "--out", tmp_path / "o") == 1
+
+
+class TestConfigChecks:
+    """Bad config values are an error line before any work starts."""
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("evaluate", {"windows": 3}, "windows must be a list, got 3"),
+        ("evaluate", {"models": 5}, "models must be a list, got 5"),
+        ("evaluate", {"models": "knn"}, "models must be a list, got 'knn'"),
+        ("ablate", {"masks": "position"}, "masks must be a list"),
+        ("evaluate", {"jobs": None}, "jobs must be an integer, got None"),
+        ("evaluate", {"min_samples": None}, "min_samples must be an integer"),
+        ("evaluate", {"folds": "x"}, "folds must be an integer, got 'x'"),
+        ("evaluate", {"folds": 2.5}, "folds must be an integer, got 2.5"),
+        ("evaluate", {"repetitions": 1.5}, "repetitions must be an integer"),
+        ("evaluate", {"seed": True}, "seed must be an integer, got True"),
+        ("evaluate", {"dataset": 5}, "dataset must be a string, got 5"),
+        ("dtw", {"band": "x"}, "band must be a number, got 'x'"),
+        ("dtw", {"band": 1.5}, "band must be at most 1"),
+        ("extract", {"smoothings": [1.7]},
+         "each of smoothings must be an integer, got 1.7"),
+        ("extract", {"windows": [0]}, "each of windows must be at least 1"),
+        ("evaluate", {"seed": -1}, "seed must be at least 0"),
+        ("evaluate", {"folds": 1}, "folds must be at least 2"),
+        ("evaluate", {"format": "csv"}, "unknown format 'csv'"),
+        ("evaluate", [1, 2], "a config file holds a JSON object"),
+        ("evaluate", {"window": [1]}, "unknown fields ['window']"),
+    ], ids=["windows-int", "models-int", "models-str", "masks-str",
+            "jobs-null", "min-samples-null", "folds-str", "folds-float",
+            "repetitions-float", "seed-bool", "dataset-int", "band-str",
+            "band-above-1", "smoothing-float", "window-zero", "seed-negative",
+            "folds-one", "format", "not-an-object", "unknown-field"])
+    def test_bad_config_is_error(self, tiny_dataset, tmp_path, capsys,
+                                 command, config, message):
+        if isinstance(config, dict):
+            config = {"dataset": str(tiny_dataset), **config}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(command, "--config", path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("evaluate", "--models", "knn,knn"), "models repeats a value"),
+        (("evaluate", "--windows", "1,1"), "windows repeats a value"),
+        (("extract", "--windows", "1,2", "--smoothings", "1,1"),
+         "smoothings repeats a value"),
+        (("ablate", "--mask", "position", "--mask", "position"),
+         "masks repeats a value"),
+        (("evaluate", "--models", ""), "models must list at least one value"),
+        (("extract", "--smoothings", ""),
+         "smoothings must list at least one value"),
+        (("extract", "--format", "features"),
+         "extract does not support format 'features'"),
+        (("dtw", "--format", "features"),
+         "dtw does not support format 'features'"),
+        (("evaluate", "--format", "vessel"),
+         "evaluate does not support format 'vessel'"),
+        (("ablate", "--format", "vessel", "--mask", "position"),
+         "ablate does not support format 'vessel'"),
+        (("windows", "--format", "vessel"),
+         "windows does not support format 'vessel'"),
+        (("nested", "--format", "ucr"), "nested does not support format 'ucr'"),
+    ], ids=["models-twice", "windows-twice", "extract-cell-twice",
+            "mask-twice", "no-models", "no-smoothings", "extract-features",
+            "dtw-features", "evaluate-vessel", "ablate-vessel",
+            "windows-vessel", "nested-ucr"])
+    def test_bad_flags_are_errors(self, tiny_dataset, tmp_path, capsys, argv,
+                                  message):
+        out = tmp_path / "out"
+        assert run(*argv, "--dataset", tiny_dataset, "--out", out,
+                   "--repetitions", "1", *BASE_FLAGS) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +428,7 @@ class TestNotes:
                  "--models", "knn,svm", "--folds", "3", "--seed", "9")
         assert run(*flags, "--out", tmp_path / "plain") == 0
         assert "note:" not in capsys.readouterr().err
-        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        monkeypatch.setattr(classify, "_step_cap", lambda n: 1)
         assert run(*flags, "--out", tmp_path / "capped") == 0
         notes = capsys.readouterr().err.splitlines()
         # One two-class refit per outer fold, each stopped by the cap.
@@ -378,7 +456,7 @@ class TestNotes:
 
     def test_evaluate_reports_capped_refits(self, tiny_dataset, tmp_path,
                                             monkeypatch, capsys):
-        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        monkeypatch.setattr(classify, "_step_cap", lambda n: 1)
         out = tmp_path / "out"
         assert run("evaluate", "--dataset", tiny_dataset, "--out", out,
                    "--smoothings", "1", "--windows", "2", "--models", "svm",
@@ -405,7 +483,7 @@ class TestNotes:
         flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
         assert run(*flags, "--models", "svm", "--out", tmp_path / "plain") == 0
         assert "note:" not in capsys.readouterr().err
-        monkeypatch.setattr(classify, "_step_cap", lambda n, max_steps: 1)
+        monkeypatch.setattr(classify, "_step_cap", lambda n: 1)
         out = tmp_path / "capped"
         assert run(*flags, "--models", "svm", "--out", out) == 0
         notes = capsys.readouterr().err.splitlines()
@@ -473,9 +551,11 @@ class TestUniformSplits:
         dataset = write(rows)
         with pytest.raises(ValueError) as want:
             self.one_by_one(dataset, min_samples)
+        # RunConfig itself rejects min_samples 2, so the loader gets the
+        # two fields it reads.
         with pytest.raises(ValueError) as got:
-            cli._load_uniform_splits(
-                cli.RunConfig(dataset=str(dataset), min_samples=min_samples))
+            cli._load_uniform_splits(types.SimpleNamespace(
+                dataset=str(dataset), min_samples=min_samples))
         assert str(got.value) == str(want.value)
 
 

@@ -4,8 +4,6 @@ import pytest
 from geostat.geometry import (
     _diff_values,
     build_stack,
-    curvature_magnitude,
-    signed_curvature,
     speed,
 )
 from geostat.series import TimeSeries, UniformSeries, resample_uniform
@@ -103,24 +101,21 @@ class TestCurvature:
         assert down.signed_curvature[250] == pytest.approx(-2.0, abs=1e-3)
 
     def test_signed_curvature_of_line_zero(self):
-        us = uniform(np.arange(8.0))
-        xd = diff(us)
-        xdd = diff(xd)
-        np.testing.assert_allclose(signed_curvature(xd, xdd)[1:-1], 0.0,
+        stack = build_stack(uniform(np.arange(8.0)), 0)
+        np.testing.assert_allclose(stack.signed_curvature[1:-1], 0.0,
                                    atol=1e-12)
 
     def test_signed_rejects_multivariate(self):
-        us = uniform(np.ones((5, 2)))
-        with pytest.raises(ValueError):
-            signed_curvature(us, us)
+        # Signed curvature is defined for univariate series only.
+        assert build_stack(uniform(np.ones((5, 2))), 0).signed_curvature is None
 
     def test_magnitude_equals_abs_signed(self):
         rng = np.random.default_rng(3)
         us = uniform(rng.normal(size=30), step=0.1)
-        xd = diff(us)
-        xdd = diff(xd)
-        np.testing.assert_allclose(curvature_magnitude(xd, xdd),
-                                   np.abs(signed_curvature(xd, xdd)))
+        for smoothing in (0, 2):
+            stack = build_stack(us, smoothing)
+            np.testing.assert_array_equal(stack.curvature,
+                                          np.abs(stack.signed_curvature))
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(4)

@@ -50,6 +50,21 @@ def test_extract_leaves_out_classifiers_and_warping(tmp_path):
     assert loaded_after("import geostat\ngeostat.dtw_matrix", "geostat.dtw")
 
 
+def test_dtw_leaves_out_classifiers(tmp_path):
+    data = tmp_path / "Toy"
+    data.mkdir()
+    for split in ("TRAIN", "TEST"):
+        (data / f"Toy_{split}.tsv").write_text(
+            "1\t0.0\t1.0\t0.5\t2.0\n2\t1.0\t0.0\t1.5\t0.5\n")
+    code = "\n".join([
+        "from geostat import cli",
+        f"assert cli.main(['dtw', '--dataset', {str(data)!r}, '--out',",
+        f"                 {str(tmp_path / 'out')!r}]) == 0",
+    ])
+    assert not loaded_after(code, "geostat.classify")
+    assert loaded_after(code, "geostat.dtw")
+
+
 def test_window_means_leave_out_masked_arrays():
     code = "\n".join([
         "import numpy as np",

@@ -403,7 +403,8 @@ class TestLoadUCR:
         assert ds.name == "Toy"
         assert len(ds.train_series) == 2
         assert len(ds.test_series) == 1
-        assert ds.classes == ("1", "2")
+        assert ds.train_labels == ("1", "2")
+        assert ds.test_labels == ("1",)
         assert ds.equal_length
 
     def test_missing_split_rejected(self, tmp_path):
