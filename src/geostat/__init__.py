@@ -34,13 +34,11 @@ from .features import (
     AblationMask,
     FeatureMatrix,
     GeoStatConfig,
-    apply_mask,
     extract_multivariate,
     extract_univariate,
     mask_columns,
     read_feature_csv,
     select_columns,
-    single_window,
     univariate_grid,
     univariate_matrix,
     window_columns,

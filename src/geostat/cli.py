@@ -196,9 +196,7 @@ def _load_uniform_splits(cfg: RunConfig):
 
 
 def _cell_config(cfg: RunConfig, windows: int, smoothings: int) -> GeoStatConfig:
-    return GeoStatConfig(min_samples=cfg.min_samples,
-                         smoothing_iterations=smoothings,
-                         num_windows=windows)
+    return GeoStatConfig(smoothing_iterations=smoothings, num_windows=windows)
 
 
 def _extract_cell(args):
@@ -338,7 +336,6 @@ def _nested_feature_matrix(cfg: RunConfig) -> FeatureMatrix:
         if not tracks:
             raise ValueError("no usable labeled tracks after filtering")
         geo_cfg = GeoStatConfig(
-            min_samples=cfg.min_samples,
             smoothing_iterations=ingest.VESSEL_SMOOTHING_ITERATIONS,
             num_windows=1,
             summary=SummaryConfig(quantiles=MULTIVARIATE_QUANTILES))

@@ -49,8 +49,6 @@ __all__ = [
     "mask_columns",
     "window_columns",
     "select_columns",
-    "apply_mask",
-    "single_window",
     "write_feature_csv",
     "read_feature_csv",
 ]
@@ -72,7 +70,13 @@ BLOCK_SAMPLES = 8_000
 
 @dataclass(frozen=True)
 class GeoStatConfig:
-    """Extraction settings: resampling floor, smoothing, windows, statistics."""
+    """Extraction settings: smoothing, windows, statistics.
+
+    ``min_samples`` is checked but read by no featurization: the functions
+    here take series already resampled, and the CLI resamples with its own
+    ``RunConfig.min_samples``. The field stays only because the benchmark's
+    workloads (``perfbench/workloads.py``) build configs with it.
+    """
 
     min_samples: int = 500
     smoothing_iterations: int = 1
@@ -201,24 +205,16 @@ def extract_univariate(us: UniformSeries, cfg: GeoStatConfig):
     return _series_rows([us], cfg)[0], list(_column_labels(cfg))
 
 
-def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
-                         extra_distributions=None):
+def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig):
     """Feature row of a multivariate series with spherical positions.
 
     The first two value dimensions are read as (latitude, longitude), in
     degrees, and the mean coordinates are given in degrees. Per window,
     position contributes the intrinsic mean coordinates and intrinsic
-    variance; speed and its derivative contribute scalar summary vectors;
-    each entry of ``extra_distributions`` (a mapping of name to a scalar
-    sample array aligned with the series) contributes a scalar summary
-    vector as well.
+    variance; speed and its derivative contribute scalar summary vectors.
     """
     if us.dim < 2:
         raise ValueError("extract_multivariate requires dimension >= 2")
-    extras = dict(extra_distributions or {})
-    for name, arr in extras.items():
-        if len(np.asarray(arr)) != us.n_samples:
-            raise ValueError(f"extra distribution {name!r} is not aligned")
     bounds = _check_window_sizes(us.n_samples, cfg.num_windows)
     stack = build_stack(us, cfg.smoothing_iterations)
 
@@ -233,11 +229,9 @@ def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig,
         values.extend([np.degrees(m_lat), np.degrees(m_lon), var])
         labels.extend(("position", w, s) for s in FRECHET_STATISTICS)
 
-    scalar_dists = [("speed", stack.speed), ("speed_derivative", stack.speed_deriv)]
-    scalar_dists.extend(sorted(extras.items()))
     stat_names = cfg.summary.statistic_names
-    for name, samples in scalar_dists:
-        samples = np.asarray(samples, dtype=float)
+    for name, samples in (("speed", stack.speed),
+                          ("speed_derivative", stack.speed_deriv)):
         for w, (a, b) in enumerate(bounds):
             vec = summarize(samples[a:b], cfg.summary)
             values.extend(vec.tolist())
@@ -459,22 +453,6 @@ def select_columns(fm: FeatureMatrix, keep) -> FeatureMatrix:
     """The matrix restricted to the columns at indices ``keep``, in order."""
     return FeatureMatrix(fm.rows[:, keep],
                          tuple(fm.column_labels[i] for i in keep), fm.labels)
-
-
-def apply_mask(fm: FeatureMatrix, mask: AblationMask) -> FeatureMatrix:
-    """Drop every column whose distribution or statistic the mask names.
-
-    Row class labels are preserved. Raises as :func:`mask_columns` does.
-    """
-    return select_columns(fm, mask_columns(fm, mask))
-
-
-def single_window(fm: FeatureMatrix, window: int) -> FeatureMatrix:
-    """Restrict a windowed matrix to the columns of one window index."""
-    keep = window_columns(fm, window)
-    cols = tuple((d, 0, s) for d, _, s in
-                 (fm.column_labels[i] for i in keep))
-    return FeatureMatrix(fm.rows[:, keep], cols, fm.labels)
 
 
 def _row_ends(labels, n_columns: int) -> dict:

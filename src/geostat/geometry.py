@@ -6,8 +6,11 @@ curvature measures how fast the unit tangent ``v / |v|`` turns. For a
 univariate series this reduces to the classical planar expression
 ``|x''| / (1 + x'^2)^(3/2)``; keeping the sign of ``x''`` gives the signed
 variant. For d > 1 the unit tangent is formed pointwise and differentiated
-numerically in time, and the curvature is the norm of that derivative.
-Straight lines have zero curvature regardless of slope. Curvature is
+numerically in time, and the signal called curvature is the norm of that
+derivative, ``|dT/dt|``: the turn rate per unit time. That is the curvature
+times the speed, not the curvature per arc length ``|dT/ds|``; for a
+univariate series it would read ``|x''| / (1 + x'^2)``. Straight lines have
+zero curvature and zero turn rate regardless of slope. Curvature is
 computed only as part of a signal set: :func:`univariate_signals` for many
 univariate series on one grid, :func:`build_stack` for one series of any
 dimension.
@@ -50,20 +53,13 @@ def _diff_values(values: np.ndarray, step, first=0, last=-1) -> np.ndarray:
     return out
 
 
-def speed(first_deriv) -> np.ndarray:
+def speed(first_deriv: np.ndarray) -> np.ndarray:
     """Speed of the time-augmented curve: ``sqrt(1 + |dx/dt|^2)``.
 
-    Accepts a single d-vector or an (m, d) array of derivative samples and
-    returns a scalar or an (m,) array. Always at least 1, since the curve
-    advances in time at unit rate.
+    Takes an (m, d) array of derivative samples and returns the (m,)
+    speeds, each at least 1, since the curve advances in time at unit rate.
     """
-    arr = np.asarray(first_deriv, dtype=float)
-    if arr.ndim <= 1 and arr.size == 1:
-        return float(np.sqrt(1.0 + arr.reshape(())**2))
-    if arr.ndim == 1:
-        # A bare d-vector for one sample.
-        return float(np.sqrt(1.0 + np.sum(arr**2)))
-    return np.sqrt(1.0 + np.sum(arr**2, axis=1))
+    return np.sqrt(1.0 + np.sum(first_deriv**2, axis=1))
 
 
 def _planar_curvature(xd: np.ndarray, xdd: np.ndarray) -> np.ndarray:
@@ -72,9 +68,11 @@ def _planar_curvature(xd: np.ndarray, xdd: np.ndarray) -> np.ndarray:
 
 
 def _turn_rate(xd: np.ndarray, step, first=0, last=-1) -> np.ndarray:
-    """Norm of the derivative of the unit tangent of ``(1, xd)``.
+    """Norm of the time derivative of the unit tangent of ``(1, xd)``.
 
-    ``step``, ``first`` and ``last`` are as in :func:`_diff_values`.
+    This is ``|dT/dt|``, the curvature times the speed ``|(1, xd)|``, not
+    the curvature per arc length. ``step``, ``first`` and ``last`` are as
+    in :func:`_diff_values`.
     """
     v = np.hstack([np.ones((xd.shape[0], 1)), xd])
     unit = v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -86,7 +84,8 @@ class GeometricStack:
     """Per-sample derived signals of one uniform series.
 
     All components share the base grid. ``signed_curvature`` is present only
-    for univariate input, where its absolute value equals ``curvature``.
+    for univariate input, where its absolute value equals ``curvature``; for
+    d > 1, ``curvature`` is the turn rate ``|dT/dt|``.
     """
 
     base: UniformSeries
@@ -140,7 +139,7 @@ def build_stack(us: UniformSeries, smoothing_iterations: int) -> GeometricStack:
         base=us.with_values(base),
         first_deriv=us.with_values(xd),
         second_deriv=us.with_values(smooth_values(xdd_raw, k)),
-        speed=np.asarray(spd),
+        speed=spd,
         speed_deriv=spd_deriv,
         curvature=kappa,
         signed_curvature=kappa_signed,

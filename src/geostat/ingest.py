@@ -268,30 +268,29 @@ class SegmentSet:
     total_span: float
 
 
-def load_vessels(path, columns=None) -> list:
+def load_vessels(path) -> list:
     """Load vessel tracks from a CSV file or a directory of CSV files.
 
-    Column names follow ``DEFAULT_VESSEL_COLUMNS`` and can be remapped via
-    ``columns``. Rows are grouped into tracks by the vessel-id column. When
-    a file has no label column, the file stem is used as the label for all
-    its tracks (the one-file-per-class layout). Rows with fewer fields than
-    the header, or with a numeric field that is not a finite number, are
-    skipped; a file the CSV reader cannot parse raises ``ValueError`` naming
-    the file and line.
+    Columns are found by the names in ``DEFAULT_VESSEL_COLUMNS``. Rows are
+    grouped into tracks by the vessel-id column. When a file has no label
+    column, the file stem is used as the label for all its tracks (the
+    one-file-per-class layout). Rows with fewer fields than the header, with
+    a numeric field that is not a finite number, or with a negative speed
+    are skipped; a file the CSV reader cannot parse raises ``ValueError``
+    naming the file and line.
     """
-    cols = dict(DEFAULT_VESSEL_COLUMNS)
-    cols.update(columns or {})
     p = Path(path)
     files = sorted(p.glob("*.csv")) if p.is_dir() else [p]
     if not files:
         raise FileNotFoundError(f"no CSV files under {p}")
     tracks = []
     for f in files:
-        tracks.extend(_load_vessel_file(f, cols))
+        tracks.extend(_load_vessel_file(f))
     return tracks
 
 
-def _load_vessel_file(path: Path, cols) -> list:
+def _load_vessel_file(path: Path) -> list:
+    cols = DEFAULT_VESSEL_COLUMNS
     numeric = ("timestamp", "lat", "lon", "speed", "shore", "port")
     default_label = path.stem
     rows = {}
@@ -316,8 +315,8 @@ def _load_vessel_file(path: Path, cols) -> list:
                     sample = tuple(map(float, fields(rec)))
                 except ValueError:
                     continue  # skip rows with unusable numeric fields
-                if not all(map(math.isfinite, sample)):
-                    continue
+                if not all(map(math.isfinite, sample)) or sample[3] < 0:
+                    continue  # a non-finite field or a negative speed
                 vid = default_label if id_at is None else rec[id_at]
                 label = (default_label if label_at is None
                          else rec[label_at].strip())
@@ -418,7 +417,10 @@ def _window_means(segments):
     as many samples, at least one per window plus one, and at least 4. The
     signals are smoothed latitude and longitude, speed, speed derivative,
     curvature, raw curvature (of the smoothed positions, with no further
-    smoothing), shore distance and port distance; smoothing and differences
+    smoothing), shore distance and port distance. Both curvatures are the
+    turn rate ``|dT/dt|`` of the (time, latitude, longitude) curve, that is
+    its curvature times its speed, not its curvature per arc length (see
+    ``geometry._turn_rate``). Smoothing and differences
     treat each segment's first and last samples as endpoints, so they equal
     the segment's signals computed alone. Windows of
     ``VESSEL_WINDOW_SECONDS`` run from each segment's start; the last may

@@ -42,7 +42,7 @@ from geostat.features import (
     AblationMask,
     FeatureMatrix,
     GeoStatConfig,
-    apply_mask,
+    mask_columns,
     univariate_matrix,
     write_feature_csv,
     z_normalize,
@@ -152,16 +152,16 @@ def test_criterion_3_dimension_formula():
 
     fm = univariate_matrix([us], ["a"], GeoStatConfig(num_windows=2))
     # One distribution of five: 18 statistics per window, both windows.
-    masked = apply_mask(fm, AblationMask({"curvature"}))
-    assert fm.n_columns - masked.n_columns == 18 * 2
+    kept = mask_columns(fm, AblationMask({"curvature"}))
+    assert fm.n_columns - len(kept) == 18 * 2
     # One statistic across 5 distributions and 2 windows.
-    masked = apply_mask(fm, AblationMask(removed_statistics={"skew"}))
-    assert fm.n_columns - masked.n_columns == 5 * 2
+    kept = mask_columns(fm, AblationMask(removed_statistics={"skew"}))
+    assert fm.n_columns - len(kept) == 5 * 2
     # Quantile groups: low/high are 4 wide, mid is 3 wide.
-    masked = apply_mask(fm, AblationMask(removed_statistics={"low_quantiles"}))
-    assert fm.n_columns - masked.n_columns == 4 * 5 * 2
-    masked = apply_mask(fm, AblationMask(removed_statistics={"mid_quantiles"}))
-    assert fm.n_columns - masked.n_columns == 3 * 5 * 2
+    kept = mask_columns(fm, AblationMask(removed_statistics={"low_quantiles"}))
+    assert fm.n_columns - len(kept) == 4 * 5 * 2
+    kept = mask_columns(fm, AblationMask(removed_statistics={"mid_quantiles"}))
+    assert fm.n_columns - len(kept) == 3 * 5 * 2
     report("3 dimension formula")
 
 

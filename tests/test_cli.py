@@ -409,6 +409,20 @@ class TestVesselRows:
             assert ((tmp_path / "short" / name).read_bytes()
                     == (tmp_path / "clean" / name).read_bytes())
 
+    def test_negative_speed_row_is_skipped(self, tmp_path, capsys):
+        lines = vessel_lines()
+        fields = lines[5].split(",")
+        fields[4] = "-1.0"
+        assert run_vessel_nested(tmp_path, lines[:5] + lines[6:], "clean") == 0
+        assert run_vessel_nested(tmp_path, lines[:5] + [",".join(fields)]
+                                 + lines[6:], "negative") == 0
+        assert capsys.readouterr().err == ""
+        names = sorted(os.listdir(tmp_path / "clean"))
+        assert names == sorted(os.listdir(tmp_path / "negative"))
+        for name in names:
+            assert ((tmp_path / "negative" / name).read_bytes()
+                    == (tmp_path / "clean" / name).read_bytes())
+
     def test_oversized_field_is_an_error(self, tmp_path, capsys):
         lines = vessel_lines()
         lines[3] = lines[3].replace("trawlers", '"' + "x" * 140_000 + '"')

@@ -12,14 +12,15 @@ from geostat.features import (
     AblationMask,
     FeatureMatrix,
     GeoStatConfig,
-    apply_mask,
     extract_multivariate,
     extract_univariate,
+    mask_columns,
     read_feature_csv,
-    single_window,
+    select_columns,
     univariate_grid,
     univariate_matrix,
     window_bounds,
+    window_columns,
     write_feature_csv,
     z_normalize,
 )
@@ -392,26 +393,10 @@ class TestExtractMultivariate:
         assert by_label[("speed", 0, "std")] == pytest.approx(0.0, abs=1e-6)
         assert by_label[("position", 0, "frechet_lat")] == pytest.approx(0.0, abs=1e-6)
 
-    def test_extra_distributions_add_columns(self):
-        us = UniformSeries(0.0, 1.0, np.tile([1.0, 2.0], (40, 1)))
-        extras = {
-            "alpha": np.arange(40.0),
-            "beta": np.ones(40),
-        }
-        base_row, _ = extract_multivariate(us, multivariate_cfg())
-        row, labels = extract_multivariate(us, multivariate_cfg(), extras)
-        assert len(row) - len(base_row) == 2 * 16
-        assert ("alpha", 0, "q0.5") in labels
-
     def test_rejects_univariate(self):
         us = UniformSeries(0.0, 1.0, np.arange(10.0))
         with pytest.raises(ValueError):
             extract_multivariate(us, multivariate_cfg())
-
-    def test_misaligned_extra_rejected(self):
-        us = UniformSeries(0.0, 1.0, np.tile([1.0, 2.0], (40, 1)))
-        with pytest.raises(ValueError):
-            extract_multivariate(us, multivariate_cfg(), {"x": np.ones(7)})
 
 
 class TestZNormalize:
@@ -469,6 +454,11 @@ class TestZNormalize:
         np.testing.assert_allclose(twice.rows, once.rows, atol=1e-10)
 
 
+def masked(fm, mask):
+    """The matrix without the columns the mask names, as ``ablate`` fits it."""
+    return select_columns(fm, mask_columns(fm, mask))
+
+
 class TestApplyMask:
     @pytest.fixture()
     def matrix(self):
@@ -476,43 +466,43 @@ class TestApplyMask:
                                  ["a", "b"], GeoStatConfig())
 
     def test_empty_mask_is_identity(self, matrix):
-        out = apply_mask(matrix, AblationMask())
+        out = masked(matrix, AblationMask())
         np.testing.assert_array_equal(out.rows, matrix.rows)
         assert out.column_labels == matrix.column_labels
 
     def test_remove_position(self, matrix):
-        out = apply_mask(matrix, AblationMask({"position"}))
+        out = masked(matrix, AblationMask({"position"}))
         assert out.n_columns == 72
         assert "position" not in out.distributions
 
     def test_remove_low_quantiles(self, matrix):
-        out = apply_mask(matrix, AblationMask(removed_statistics={"low_quantiles"}))
+        out = masked(matrix, AblationMask(removed_statistics={"low_quantiles"}))
         assert matrix.n_columns - out.n_columns == 20
         for stat in ("q0.001", "q0.01", "q0.1", "q0.2"):
             assert stat not in out.statistics
 
     def test_remove_mid_and_high_quantiles(self, matrix):
-        out = apply_mask(matrix, AblationMask(removed_statistics={"mid_quantiles"}))
+        out = masked(matrix, AblationMask(removed_statistics={"mid_quantiles"}))
         assert matrix.n_columns - out.n_columns == 15
         for stat in ("q0.4", "q0.5", "q0.6"):
             assert stat not in out.statistics
-        out = apply_mask(matrix, AblationMask(removed_statistics={"high_quantiles"}))
+        out = masked(matrix, AblationMask(removed_statistics={"high_quantiles"}))
         for stat in ("q0.8", "q0.9", "q0.99", "q0.999"):
             assert stat not in out.statistics
 
     def test_unknown_name_rejected(self, matrix):
         with pytest.raises(ValueError):
-            apply_mask(matrix, AblationMask({"velocityy"}))
+            masked(matrix, AblationMask({"velocityy"}))
         with pytest.raises(ValueError):
-            apply_mask(matrix, AblationMask(removed_statistics={"medain"}))
+            masked(matrix, AblationMask(removed_statistics={"medain"}))
 
     def test_removing_everything_rejected(self, matrix):
         mask = AblationMask(set(matrix.distributions))
         with pytest.raises(ValueError):
-            apply_mask(matrix, mask)
+            masked(matrix, mask)
 
     def test_labels_preserved(self, matrix):
-        out = apply_mask(matrix, AblationMask({"curvature"}))
+        out = masked(matrix, AblationMask({"curvature"}))
         assert out.labels == matrix.labels
 
 
@@ -520,14 +510,16 @@ class TestSingleWindow:
     def test_slices_one_window(self):
         fm = univariate_matrix([sine_series()], ["a"],
                                GeoStatConfig(num_windows=4))
-        w2 = single_window(fm, 2)
+        keep = window_columns(fm, 2)
+        w2 = select_columns(fm, keep)
         assert w2.n_columns == 90
-        assert set(w for _, w, _ in w2.column_labels) == {0}
+        assert set(w for _, w, _ in w2.column_labels) == {2}
+        np.testing.assert_array_equal(w2.rows, fm.rows[:, keep])
 
     def test_unknown_window_rejected(self):
         fm = univariate_matrix([sine_series()], ["a"], GeoStatConfig())
         with pytest.raises(ValueError):
-            single_window(fm, 3)
+            window_columns(fm, 3)
 
 
 class TestCsvRoundtrip:

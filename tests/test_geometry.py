@@ -66,13 +66,14 @@ class TestFiniteDifference:
 
 class TestSpeed:
     def test_stationary(self):
-        assert speed(0.0) == pytest.approx(1.0)
+        np.testing.assert_array_equal(speed(np.zeros((5, 2))), 1.0)
 
     def test_scalar_slope(self):
-        assert speed(3.0) == pytest.approx(np.sqrt(10))
+        # One sample of a univariate series with slope 3.
+        assert speed(np.array([[3.0]])) == pytest.approx([np.sqrt(10)])
 
     def test_vector(self):
-        assert speed(np.array([3.0, 4.0])) == pytest.approx(np.sqrt(26))
+        assert speed(np.array([[3.0, 4.0]])) == pytest.approx([np.sqrt(26)])
 
     def test_series_at_least_one(self):
         rng = np.random.default_rng(0)

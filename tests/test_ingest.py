@@ -593,15 +593,17 @@ class TestLoadVessels:
         with pytest.raises(ValueError):
             load_vessels(path)
 
-    def test_column_remapping(self, tmp_path):
+    def test_negative_speed_row_skipped(self, tmp_path):
         path = tmp_path / "x.csv"
-        path.write_text("id,ts,latitude,longitude,sog,shore,port\n"
-                        "1,0,1.0,2.0,3.0,4,5\n")
-        tracks = load_vessels(path, columns={
-            "vessel_id": "id", "timestamp": "ts", "lat": "latitude",
-            "lon": "longitude", "speed": "sog", "shore": "shore",
-            "port": "port"})
-        assert tracks[0].lats[0] == 1.0
+        path.write_text(
+            "mmsi,timestamp,lat,lon,speed,distance_from_shore,distance_from_port\n"
+            "1,0,1.0,2.0,3.0,4,5\n"
+            "1,300,1.1,2.1,-1.0,4,5\n"
+            "1,600,1.2,2.2,0.0,4,5\n")
+        (track,) = load_vessels(path)
+        np.testing.assert_array_equal(track.timestamps, [0.0, 600.0])
+        np.testing.assert_array_equal(track.speeds, [3.0, 0.0])
+        np.testing.assert_array_equal(track.lats, [1.0, 1.2])
 
 
 class TestBinaryLabels:
