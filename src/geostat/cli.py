@@ -10,9 +10,10 @@ windows    evaluate each window's column slice independently
 dtw        nearest-neighbor baseline under the warping distance
 
 Every run is driven by a JSON config file and/or flags of the same names;
-flags win. All randomness derives from ``--seed``, and result files are
-written atomically, so reruns with the same seed are byte-identical even
-with ``--jobs`` greater than one.
+flags win. A command offers only the flags, and its file may hold only the
+fields, that it reads (``COMMANDS``). All randomness derives from
+``--seed``, and result files are written atomically, so reruns with the
+same seed are byte-identical even with ``--jobs`` greater than one.
 """
 
 from __future__ import annotations
@@ -267,6 +268,8 @@ def cmd_extract(cfg: RunConfig) -> int:
 def _evaluate_task(args):
     """One (entry, model, run): select on train folds, refit, score test.
 
+    It scores as ``classify.nested_cv`` scores an outer fold, with the
+    train split as the training rows and the test split as the holdout.
     ``columns`` lists the column indices the entry keeps, or is None for all.
     """
     from . import classify
@@ -275,14 +278,24 @@ def _evaluate_task(args):
         train_fm = features.select_columns(train_fm, columns)
         test_fm = features.select_columns(test_fm, columns)
     train_n, (test_n,), _, _ = features.z_normalize(train_fm, [test_fm])
+    # One class list over both splits: a class with no training row gets a
+    # code but never wins a vote, so its test rows count as wrong.
+    pts, classes, codes = classify._training_data(
+        np.vstack([train_n.rows, test_n.rows]),
+        list(train_n.labels) + list(test_n.labels))
+    train = np.arange(train_n.rows.shape[0])
+    test = np.arange(train.size, pts.shape[0])
     seed = np.random.SeedSequence(list(seed_entropy))
-    grid = classify.default_grid(model)
-    params, _ = classify.grid_search_cv(train_n.rows, train_n.labels, grid,
-                                        k=folds, seed=seed)
-    fitted = classify.fit_model(train_n.rows, train_n.labels, params)
-    pred = classify.predict_model(fitted, test_n.rows)
-    notes = fitted.warnings if isinstance(fitted, classify.SVMModel) else ()
-    return classify.accuracy(test_n.labels, pred), notes
+    (search,) = classify._search_many(pts, classes, codes, [(train, folds, seed)],
+                                      classify.default_grid(model))
+    if isinstance(search, ValueError):
+        raise search
+    ((fit,),) = classify._predict_splits(pts, classes, codes,
+                                         [(train, test, (search[0],))])
+    if isinstance(fit, ValueError):
+        raise fit
+    pred, notes = fit
+    return float(np.mean(codes[test] == pred)), notes
 
 
 def _evaluate_matrices(cfg: RunConfig, entries) -> dict:
@@ -425,7 +438,10 @@ def cmd_nested(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_mask(spec: str) -> AblationMask:
-    """Parse ``dist:NAME`` / ``stat:NAME`` tokens (bare names mean ``dist:``)."""
+    """Parse ``dist:NAME`` / ``stat:NAME`` tokens (bare names mean ``dist:``).
+
+    A spec that names nothing is a ``ValueError``.
+    """
     dists = set()
     stats = set()
     for token in spec.split(","):
@@ -438,14 +454,16 @@ def parse_mask(spec: str) -> AblationMask:
             dists.add(token[5:])
         else:
             dists.add(token)
+    if not dists and not stats:
+        raise ValueError(f"mask {spec!r} names nothing")
     return AblationMask(frozenset(dists), frozenset(stats))
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
     if not cfg.masks:
         raise ValueError("ablate requires at least one --mask")
-    cfg, grid = _feature_grid(cfg)
     masks = [parse_mask(spec) for spec in cfg.masks]
+    cfg, grid = _feature_grid(cfg)
     # Every entry of a cell shares its matrices; a mask is column indices.
     entries = []
     for ci, cell in enumerate(cfg.grid_cells):
@@ -534,31 +552,66 @@ def _str_list(text: str) -> tuple:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+# The flag and argparse keywords of each RunConfig field, in help order.
+FLAGS = {
+    "dataset": ("--dataset", {"help": "dataset path"}),
+    "format": ("--format", {"choices": FORMATS}),
+    "out": ("--out", {"help": "output directory"}),
+    "seed": ("--seed", {"type": int}),
+    "jobs": ("--jobs", {"type": int}),
+    "repetitions": ("--repetitions", {"type": int}),
+    "smoothings": ("--smoothings", {
+        "type": _int_list, "help": "comma-separated smoothing iteration counts"}),
+    "windows": ("--windows", {
+        "type": _int_list, "help": "comma-separated window counts"}),
+    "models": ("--models", {
+        "type": _str_list, "help": "comma-separated subset of: knn,svm"}),
+    "min_samples": ("--min-samples", {"type": int}),
+    "folds": ("--folds", {"type": int}),
+    "masks": ("--mask", {
+        "action": "append",
+        "help": "ablation mask, e.g. 'position,stat:low_quantiles'"}),
+    "class_map": ("--class-map", {
+        "help": "JSON file mapping class labels to binary-task labels"}),
+    "band": ("--band", {
+        "type": float, "help": "warping band fraction; omit for unconstrained"}),
+}
+
+# Every command reads these fields.
+SHARED_FIELDS = ("dataset", "format", "out")
+_EVALUATE_FIELDS = ("seed", "jobs", "repetitions", "smoothings", "windows",
+                    "models", "min_samples", "folds")
+
+# Each command, the input formats it reads, and the fields it reads besides
+# the shared ones: its flags and the fields its config file may hold.
+COMMANDS = {
+    "extract": (cmd_extract, ("ucr",),
+                ("jobs", "smoothings", "windows", "min_samples")),
+    "evaluate": (cmd_evaluate, ("ucr", "features"), _EVALUATE_FIELDS),
+    "nested": (cmd_nested, ("vessel", "features"),
+               ("seed", "jobs", "repetitions", "models", "folds", "class_map")),
+    "ablate": (cmd_ablate, ("ucr", "features"), _EVALUATE_FIELDS + ("masks",)),
+    "windows": (cmd_windows, ("ucr", "features"), _EVALUATE_FIELDS),
+    "dtw": (cmd_dtw, ("ucr",), ("band",)),
+}
+
+
+def _command_parser(sub, name: str) -> None:
+    """The subcommand's parser: ``--config`` and the flags of its fields."""
+    p = sub.add_parser(name)
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--dataset", help="dataset path")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--smoothings", type=_int_list,
-                   help="comma-separated smoothing iteration counts")
-    p.add_argument("--windows", type=_int_list,
-                   help="comma-separated window counts")
-    p.add_argument("--models", type=_str_list,
-                   help="comma-separated subset of: knn,svm")
-    p.add_argument("--min-samples", dest="min_samples", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--mask", dest="masks", action="append",
-                   help="ablation mask, e.g. 'position,stat:low_quantiles'")
-    p.add_argument("--class-map", dest="class_map",
-                   help="JSON file mapping class labels to binary-task labels")
-    p.add_argument("--band", type=float,
-                   help="warping band fraction; omit for unconstrained")
+    read = SHARED_FIELDS + COMMANDS[name][2]
+    for field_name, (flag, kwargs) in FLAGS.items():
+        if field_name in read:
+            p.add_argument(flag, dest=field_name, **kwargs)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The run's config: the ``--config`` file's fields, then the flags.
+
+    A file field is an error unless the command reads it.
+    """
+    read = SHARED_FIELDS + COMMANDS[args.command][2]
     file_values = {}
     if args.config:
         with open(args.config) as fh:
@@ -568,27 +621,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"{args.config}: unknown fields {sorted(unknown)}")
-    values = {}
-    for f in fields(RunConfig):
-        if f.name in file_values:
-            values[f.name] = file_values[f.name]
-        cli_value = getattr(args, f.name, None)
+        unread = set(file_values) - set(read)
+        if unread:
+            raise ValueError(f"{args.config}: {args.command} does not read "
+                             f"fields {sorted(unread)}")
+    values = dict(file_values)
+    for name in read:
+        cli_value = getattr(args, name)
         if cli_value is not None:
-            values[f.name] = cli_value
+            values[name] = cli_value
     if not values.get("dataset"):
         raise ValueError("a dataset path is required (--dataset or config file)")
     return RunConfig(**values)
-
-
-# Each command and the input formats it reads.
-COMMANDS = {
-    "extract": (cmd_extract, ("ucr",)),
-    "evaluate": (cmd_evaluate, ("ucr", "features")),
-    "nested": (cmd_nested, ("vessel", "features")),
-    "ablate": (cmd_ablate, ("ucr", "features")),
-    "windows": (cmd_windows, ("ucr", "features")),
-    "dtw": (cmd_dtw, ("ucr",)),
-}
 
 
 def main(argv=None) -> int:
@@ -597,9 +641,9 @@ def main(argv=None) -> int:
         description="Geometric-statistics time series classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_common_flags(sub.add_parser(name))
+        _command_parser(sub, name)
     args = parser.parse_args(argv)
-    command, formats = COMMANDS[args.command]
+    command, formats, _ = COMMANDS[args.command]
     try:
         cfg = build_config(args)
         if cfg.format not in formats:

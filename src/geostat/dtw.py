@@ -62,6 +62,7 @@ def _pair_block(xs, zs, w) -> np.ndarray:
     # Row j + 1 holds cell j; row 0, j = -1, holds where every path starts.
     prev = np.full((z.shape[0] + 1, z.shape[1]), np.inf)
     prev[0] = 0.0
+    cur = np.full_like(prev, np.inf)
     out = np.empty(z.shape[1])
     for i in range(x.shape[0]):
         lo, hi = max(0, i - reach), min(z.shape[0], i + reach + 1)
@@ -69,12 +70,16 @@ def _pair_block(xs, zs, w) -> np.ndarray:
         cost[np.abs(i - np.arange(lo, hi))[:, None] > w] = np.inf
         # The (i-1, j) and (i-1, j-1) candidates do not depend on this row.
         up = np.minimum(prev[lo + 1:hi + 1], prev[lo:hi])
-        cur = np.full_like(prev, np.inf)
+        # The two buffers swap each row. Of the cells that this row and the
+        # next read, only rows lo and hi + 1 are not written below, so only
+        # they are cleared of the values of two rows before.
+        cur[lo] = np.inf
+        cur[hi + 1:hi + 2] = np.inf
         for j in range(lo, hi):
             cur[j + 1] = cost[j - lo] + np.minimum(up[j - lo], cur[j])
         last = n == i + 1
         out[last] = cur[m[last], last]
-        prev = cur
+        prev, cur = cur, prev
     return np.sqrt(out)
 
 

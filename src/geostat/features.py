@@ -493,10 +493,14 @@ def write_feature_csv(fm: FeatureMatrix, path) -> None:
 
 
 def read_feature_csv(path) -> FeatureMatrix:
-    """Inverse of :func:`write_feature_csv`."""
+    """Inverse of :func:`write_feature_csv`. A file with no data row, or a
+    row whose field count differs from the header's, is a ``ValueError``
+    that names the file (and the row's line)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: expected trailing 'label' column")
         cols = []
@@ -508,6 +512,11 @@ def read_feature_csv(path) -> FeatureMatrix:
         rows = []
         labels = []
         for line in reader:
+            if len(line) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(header)} fields, got {len(line)}")
             rows.append([float(v) for v in line[:-1]])
             labels.append(line[-1])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return FeatureMatrix(np.array(rows, dtype=float), tuple(cols), tuple(labels))

@@ -3,6 +3,7 @@ import csv
 import functools
 import json
 import os
+import re
 import types
 
 import numpy as np
@@ -40,14 +41,16 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-BASE_FLAGS = ("--min-samples", "40", "--folds", "4", "--seed", "5")
+# extract reads --min-samples of these; the model-fitting commands all.
+EXTRACT_FLAGS = ("--min-samples", "40")
+BASE_FLAGS = (*EXTRACT_FLAGS, "--folds", "4", "--seed", "5")
 
 
 class TestExtract:
     def test_twelve_cell_grid_writes_24_files(self, tiny_dataset, tmp_path):
         out = tmp_path / "out"
         rc = run("extract", "--dataset", tiny_dataset, "--out", out,
-                 "--smoothings", "0,1,2", "--windows", "1,2,4,6", *BASE_FLAGS)
+                 "--smoothings", "0,1,2", "--windows", "1,2,4,6", *EXTRACT_FLAGS)
         assert rc == 0
         files = sorted(os.listdir(out))
         assert len(files) == 24
@@ -56,7 +59,7 @@ class TestExtract:
     def test_single_cell_grid_writes_2_files(self, tiny_dataset, tmp_path):
         out = tmp_path / "out"
         rc = run("extract", "--dataset", tiny_dataset, "--out", out,
-                 "--smoothings", "1", "--windows", "2", *BASE_FLAGS)
+                 "--smoothings", "1", "--windows", "2", *EXTRACT_FLAGS)
         assert rc == 0
         assert len(os.listdir(out)) == 2
 
@@ -64,7 +67,7 @@ class TestExtract:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             assert run("extract", "--dataset", tiny_dataset, "--out", out,
-                       "--smoothings", "1", "--windows", "2", *BASE_FLAGS) == 0
+                       "--smoothings", "1", "--windows", "2", *EXTRACT_FLAGS) == 0
         name = "features_train_2W_1S.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
@@ -85,6 +88,27 @@ class TestEvaluate:
         by_model = {r[0]: r for r in summary[1:]}
         assert float(by_model["KNN_2W_1S"][3]) == 1.0
         assert float(by_model["KNN_2W_1S"][4]) == 0.0
+
+    def test_test_only_label_counts_as_wrong(self, tmp_path):
+        # Two test rows carry labels the train split lacks, one sorting
+        # before the training classes and one after. Such a class never
+        # wins a vote, and the others keep their order, so each model loses
+        # exactly those two rows of the eight it scores perfectly.
+        train_s, train_y = sine_chirp_dataset(8, length=40, noise=0.02, seed=1)
+        test_s, test_y = sine_chirp_dataset(4, length=40, noise=0.02, seed=2)
+        rows = {}
+        for name, labels in (("plain", test_y),
+                             ("extra", ["0", "zz"] + list(test_y[2:]))):
+            data = write_ucr_dataset(tmp_path / name, "Tiny",
+                                     ucr_rows_from_dataset(train_s, train_y),
+                                     ucr_rows_from_dataset(test_s, labels))
+            out = tmp_path / f"{name}-out"
+            assert run("evaluate", "--dataset", data, "--out", out,
+                       "--smoothings", "1", "--windows", "2",
+                       "--models", "knn,svm", *BASE_FLAGS) == 0
+            rows[name] = read_rows(out / "results.csv")[1:]
+        assert [float(r[5]) for r in rows["plain"]] == [1.0, 1.0]
+        assert [float(r[5]) for r in rows["extra"]] == [0.75, 0.75]
 
     def test_config_file_with_flag_override(self, tiny_dataset, tmp_path):
         out = tmp_path / "out"
@@ -172,9 +196,69 @@ class TestConfigChecks:
     def test_bad_flags_are_errors(self, tiny_dataset, tmp_path, capsys, argv,
                                   message):
         out = tmp_path / "out"
-        assert run(*argv, "--dataset", tiny_dataset, "--out", out,
-                   "--repetitions", "1", *BASE_FLAGS) == 1
+        assert run(*argv, "--dataset", tiny_dataset, "--out", out) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+
+# Each command's flags, and a flag and a config field it does not read.
+COMMAND_FLAGS = {
+    "extract": ("--jobs", "--smoothings", "--windows", "--min-samples"),
+    "dtw": ("--band",),
+    "evaluate": ("--seed", "--jobs", "--repetitions", "--smoothings",
+                 "--windows", "--models", "--min-samples", "--folds"),
+    "windows": ("--seed", "--jobs", "--repetitions", "--smoothings",
+                "--windows", "--models", "--min-samples", "--folds"),
+    "ablate": ("--seed", "--jobs", "--repetitions", "--smoothings",
+               "--windows", "--models", "--min-samples", "--folds", "--mask"),
+    "nested": ("--seed", "--jobs", "--repetitions", "--models", "--folds",
+               "--class-map"),
+}
+UNREAD = {
+    "extract": (("--seed", "1"), {"folds": 3}),
+    "dtw": (("--models", "svm"), {"seed": 0}),
+    "evaluate": (("--band", "0.1"), {"class_map": "map.json"}),
+    "windows": (("--mask", "position"), {"masks": ["position"]}),
+    "ablate": (("--class-map", "map.json"), {"band": 0.1}),
+    "nested": (("--windows", "2"), {"min_samples": 40}),
+}
+
+
+class TestCommandFlags:
+    """Each command offers only the flags it reads."""
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_exactly_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            run(command, "--help")
+        assert stop.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == {"--help", "--config", "--dataset", "--format",
+                          "--out", *COMMAND_FLAGS[command]}
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_unread_flag_exits_2(self, command, tiny_dataset, tmp_path,
+                                 capsys):
+        out = tmp_path / "out"
+        flag, _ = UNREAD[command]
+        with pytest.raises(SystemExit) as stop:
+            run(command, "--dataset", tiny_dataset, "--out", out, *flag)
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_unread_config_field_is_error(self, command, tiny_dataset,
+                                          tmp_path, capsys):
+        _, field = UNREAD[command]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"dataset": str(tiny_dataset), **field}))
+        out = tmp_path / "out"
+        assert run(command, "--config", path, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {command} does not read fields {sorted(field)}\n")
         assert not out.exists()
 
 
@@ -192,7 +276,7 @@ def feature_pair_dir(tiny_dataset, tmp_path_factory):
     """The tiny dataset's 2-window, 1-smoothing cell as features input."""
     root = tmp_path_factory.mktemp("pair")
     assert run("extract", "--dataset", tiny_dataset, "--out", root,
-               "--smoothings", "1", "--windows", "2", *BASE_FLAGS) == 0
+               "--smoothings", "1", "--windows", "2", *EXTRACT_FLAGS) == 0
     for split in ("train", "test"):
         os.replace(root / f"features_{split}_2W_1S.csv",
                    root / f"features_{split}.csv")
@@ -219,11 +303,38 @@ class TestFeaturesInput:
         assert [row[:4] for row in read_rows(out / name)[1:]] == cells
 
 
+class TestBadFeatureFiles:
+    """A features file with no data row, or a row of the wrong length, is an
+    error line that names the file, before any fit or write."""
+
+    @pytest.mark.parametrize("content, where", [
+        ("", ": empty file, expected a header row"),
+        ("position.0.mean,label\n", ": no data rows"),
+        ("position.0.mean,label\n1.0,a\n2.0,3.0,b\n",
+         ":3: expected 2 fields, got 3"),
+        ("position.0.mean,label\n1.0,a\nb\n", ":3: expected 2 fields, got 1"),
+    ], ids=["empty", "header-only", "long-row", "short-row"])
+    @pytest.mark.parametrize("command, name", [
+        ("evaluate", "features_train.csv"), ("nested", "features.csv")])
+    def test_is_error(self, tmp_path, capsys, command, name, content, where):
+        data = tmp_path / "data"
+        data.mkdir()
+        for file_name in (name, "features_test.csv"):
+            (data / file_name).write_text(content)
+        out = tmp_path / "out"
+        assert run(command, "--dataset", data, "--format", "features",
+                   "--out", out, "--models", "knn") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data / name}{where}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def command_flags(command, tiny_dataset, feature_dir, tmp_path):
     """Flags of a small run of extract and each model-fitting command."""
     if command == "extract":
         return ("extract", "--dataset", tiny_dataset, "--smoothings", "0,1,2",
-                "--windows", "1,2,4", *BASE_FLAGS)
+                "--windows", "1,2,4", *EXTRACT_FLAGS)
     if command == "evaluate-smoothings":
         return (*command_flags("evaluate", tiny_dataset, feature_dir, tmp_path),
                 "--smoothings", "1,2")
@@ -265,9 +376,11 @@ class TestJobs:
     def test_two_workers_write_the_same_files(self, tiny_dataset, feature_dir,
                                               tmp_path, command):
         flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
+        if command != "extract":
+            flags += ("--models", "knn,svm", "--repetitions", "2")
         for jobs in (1, 2):
-            assert run(*flags, "--models", "knn,svm", "--repetitions", "2",
-                       "--jobs", jobs, "--out", tmp_path / str(jobs)) == 0
+            assert run(*flags, "--jobs", jobs,
+                       "--out", tmp_path / str(jobs)) == 0
         names = sorted(os.listdir(tmp_path / "1"))
         assert names and names == sorted(os.listdir(tmp_path / "2"))
         for name in names:
@@ -290,8 +403,11 @@ class TestJobs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
         flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
-        assert run(*flags, "--smoothings", "1,2", "--models", "knn,svm",
-                   "--jobs", 2, "--out", tmp_path / "out") == 0
+        if command != "nested-class-map":
+            flags += ("--smoothings", "1,2")
+        if command != "extract":
+            flags += ("--models", "knn,svm")
+        assert run(*flags, "--jobs", 2, "--out", tmp_path / "out") == 0
         assert len(sizes) == pools
         assert set(sizes) == {2}
 
@@ -307,8 +423,9 @@ class TestJobs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             functools.partial(RecordingPool, recorded))
         flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
-        assert run(*flags, "--models", "knn,svm", "--jobs", 8,
-                   "--out", tmp_path / "out") == 0
+        if command != "extract":
+            flags += ("--models", "knn,svm")
+        assert run(*flags, "--jobs", 8, "--out", tmp_path / "out") == 0
         assert recorded == sizes
 
 
@@ -613,6 +730,20 @@ class TestAblate:
                  "--smoothings", "1", "--windows", "1", *BASE_FLAGS)
         assert rc == 1
 
+    @pytest.mark.parametrize("spec", [",", "", " , "])
+    def test_mask_naming_nothing_is_error(self, tiny_dataset, tmp_path,
+                                          capsys, spec):
+        with pytest.raises(ValueError, match="names nothing"):
+            parse_mask(spec)
+        out = tmp_path / "o"
+        assert run("ablate", "--dataset", tiny_dataset, "--out", out,
+                   "--smoothings", "1", "--windows", "1", "--models", "knn",
+                   *BASE_FLAGS, "--mask", spec) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: mask {spec!r} names nothing\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_parse_mask_tokens(self):
         mask = parse_mask("position,dist:curvature,stat:low_quantiles")
         assert mask.removed_distributions == {"position", "curvature"}
@@ -697,7 +828,7 @@ class TestWindows:
 class TestDTWCommand:
     def test_baseline_on_tiny_dataset(self, tiny_dataset, tmp_path):
         out = tmp_path / "out"
-        rc = run("dtw", "--dataset", tiny_dataset, "--out", out, "--seed", "0")
+        rc = run("dtw", "--dataset", tiny_dataset, "--out", out)
         assert rc == 0
         rows = read_rows(out / "dtw_results.csv")
         assert rows[1][0] == "Tiny"
