@@ -63,8 +63,8 @@ __version__ = "0.1.0"
 # their names, so that featurizing alone does not import them.
 _LAZY = {
     **dict.fromkeys((
-        "CVReport", "KNNParams", "SVMParams", "accuracy", "confusion_matrix",
-        "default_knn_grid", "default_svm_grid", "fit_model", "grid_search_cv",
+        "CVReport", "KNNParams", "SVMParams", "default_knn_grid",
+        "default_svm_grid", "fit_model", "grid_search_cv", "holdout_cv",
         "kfold_splits", "knn_fit", "knn_predict", "nested_cv",
         "predict_model", "svm_fit", "svm_predict"), "classify"),
     **dict.fromkeys((

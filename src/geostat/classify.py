@@ -11,16 +11,18 @@ working pair is at most ``SMO_TOL`` (1e-3), or unconverged after
 tie-breaks land on the smallest class identifier so results are
 deterministic.
 
-The harnesses (stratified k-fold splitting, grid search, nested
-cross-validation) derive every random stream from an explicit seed, making
-runs bit-reproducible regardless of scheduling. Labels become integer
-class codes once per call. One routine scores every split, the inner folds
-of a grid search and the refits of nested cross-validation alike: each
-split's KNN points sort its neighbours once per Minkowski p for all
-(k, weights) points, and every binary SVM problem of all splits is solved
-in one lockstep batch, with the same results as fitting each grid point on
-its own. Split models vote over the full class list; a class with no
-training row in a split never wins there.
+The harnesses (stratified k-fold splitting, grid search, scoring on a
+held-out split, nested cross-validation) derive every random stream from
+an explicit seed, making runs bit-reproducible regardless of scheduling.
+Labels become integer class codes once per call. One routine scores every
+split, the inner folds of a grid search and the refits on held-out rows
+alike: each split's KNN points sort its neighbours once per Minkowski p for
+all (k, weights) points, and every binary SVM problem of all splits is
+solved in one lockstep batch, with the same results as fitting each grid
+point on its own. Split models vote over the full class list; a class with
+no training row in a split never wins there. Above it, one routine tunes,
+refits and scores held-out rows: ``holdout_cv`` runs it on one train/test
+split and ``nested_cv`` on every outer fold at once.
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ __all__ = [
     "predict_model",
     "kfold_splits",
     "grid_search_cv",
+    "holdout_cv",
     "nested_cv",
-    "confusion_matrix",
-    "accuracy",
 ]
 
 KNN_NEIGHBOR_CHOICES = (1, 2, 4, 6, 8, 10)
@@ -710,37 +711,6 @@ def kfold_splits(labels, k: int, seed) -> list:
     return [np.sort(order[f::k]) for f in range(k)]
 
 
-def accuracy(true_labels, predicted) -> float:
-    true_labels = np.asarray([str(v) for v in true_labels], dtype=object)
-    predicted = np.asarray([str(v) for v in predicted], dtype=object)
-    if true_labels.size != predicted.size:
-        raise ValueError("label vectors differ in length")
-    if true_labels.size == 0:
-        raise ValueError("empty label vectors")
-    return float(np.mean(true_labels == predicted))
-
-
-def confusion_matrix(true_labels, predicted, classes=None):
-    """Counts of (true class, predicted class). Returns ``(classes, matrix)``
-    with entry (i, j) counting class-i items predicted as class j. A label
-    outside the given ``classes`` raises ``ValueError``."""
-    true_labels = [str(v) for v in true_labels]
-    predicted = [str(v) for v in predicted]
-    if len(true_labels) != len(predicted):
-        raise ValueError("label vectors differ in length")
-    if classes is None:
-        classes = sorted_classes(true_labels + predicted)
-    classes = list(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    mat = np.zeros((len(classes), len(classes)), dtype=int)
-    unknown = [v for v in true_labels + predicted if v not in index]
-    if unknown:
-        raise ValueError(f"label {unknown[0]!r} is not one of the classes")
-    for t, p in zip(true_labels, predicted):
-        mat[index[t], index[p]] += 1
-    return tuple(classes), mat
-
-
 def _predict_splits(pts, classes, codes, splits):
     """Fit grid points on training rows and predict the class codes of
     test rows, for many splits at once.
@@ -792,7 +762,8 @@ def grid_search_cv(points, labels, grid, k: int = 10, seed=0):
     Ties keep the earliest grid entry, so the grid's canonical enumeration
     order doubles as the tie-break. A point is skipped as infeasible when
     fitting it on some training fold would raise ``ValueError`` (k above
-    the fold size, a single-class fold, a kernel that is not finite).
+    the fold size, a single-class fold, a kernel that is not finite). When
+    every point is, the ``ValueError`` names the first point's reason.
     Returns ``(best_params, best_score)``.
 
     The search runs fold by fold and gives the scores of fitting each point
@@ -835,24 +806,24 @@ def _search_many(pts, classes, codes, searches, grid) -> list:
         owners += [s] * len(folds)
         splits += [(np.delete(rows, fold), rows[fold], grid) for fold in folds]
 
-    # Validation accuracies per search and grid point; None once a fold is
-    # infeasible.
+    # Validation accuracies per search and grid point; once a fold is
+    # infeasible, the ValueError of its first infeasible fold.
     scores = [[[] for _ in grid] for _ in searches]
     fits = _predict_splits(pts, classes, codes, splits)
     for s, (_, fold, _), fold_fits in zip(owners, splits, fits):
         for g, fit in enumerate(fold_fits):
-            if isinstance(fit, ValueError):
-                scores[s][g] = None
-            elif scores[s][g] is not None:
-                scores[s][g].append(float(np.mean(codes[fold] == fit[0])))
+            if isinstance(scores[s][g], list):
+                scores[s][g] = fit if isinstance(fit, ValueError) else (
+                    scores[s][g] + [float(np.mean(codes[fold] == fit[0]))])
 
     results = []
     for search_scores in scores:
-        feasible = [(params, float(np.mean(v)))
-                    for params, v in zip(grid, search_scores) if v is not None]
+        feasible = [(params, float(np.mean(v))) for params, v
+                    in zip(grid, search_scores) if isinstance(v, list)]
         # max keeps the first of equal scores, the earliest grid entry.
         results.append(max(feasible, key=lambda e: e[1]) if feasible else
-                       ValueError("no grid point was feasible for this data"))
+                       ValueError(f"no grid point was feasible for this data "
+                                  f"({grid[0].tag()}: {search_scores[0]})"))
     return results
 
 
@@ -869,6 +840,58 @@ class CVReport:
     classes: tuple
     confusion: np.ndarray
     notes: tuple = ()
+
+
+def _score_holdouts(pts, classes, codes, splits, grid) -> list:
+    """Tune on each split's training rows, refit the choice there and
+    predict its holdout rows.
+
+    ``pts``, ``classes`` and ``codes`` are as ``_training_data`` returns
+    them, and ``splits`` holds ``(train, holdout, inner_k, seed)`` tuples:
+    row numbers of ``pts``, and the folds and seed of the grid search on
+    ``train``. One ``_search_many`` call tunes every split and one
+    ``_predict_splits`` call refits every choice. Returns, per split,
+    ``(params, accuracy, predicted codes of holdout, the refit's
+    warnings)``. Errors are those of a split-by-split loop: the first
+    failed search or refit raises, and no split after a failed search is
+    refit.
+    """
+    searches = _search_many(pts, classes, codes, [
+        (train, inner_k, seed) for train, _, inner_k, seed in splits], grid)
+    failed = next((f for f, r in enumerate(searches)
+                   if isinstance(r, ValueError)), len(splits))
+    refits = _predict_splits(pts, classes, codes, [
+        (train, holdout, (search[0],))
+        for (train, holdout, _, _), search in zip(splits, searches[:failed])])
+    out = []
+    for (_, holdout, _, _), (params, _), (fit,) in zip(splits, searches, refits):
+        if isinstance(fit, ValueError):
+            raise fit
+        out.append((params, float(np.mean(codes[holdout] == fit[0])), *fit))
+    if failed < len(splits):
+        raise searches[failed]
+    return out
+
+
+def holdout_cv(train_points, train_labels, test_points, test_labels, grid,
+               k: int = 10, seed=0):
+    """Tune on the training rows, refit the choice on all of them and
+    score the test rows, as ``nested_cv`` scores one outer fold.
+
+    The grid search runs on ``k`` folds of the training rows, seeded by
+    ``seed``. A test label that the training rows lack never wins a vote,
+    so its rows count as wrong. Returns ``(accuracy, params, notes)``, the
+    notes being the refit's warnings.
+    """
+    n_train = len(train_labels)
+    if np.shape(train_points)[0] != n_train:
+        raise ValueError("need one label per training row")
+    pts, classes, codes = _training_data(np.vstack([train_points, test_points]),
+                                         [*train_labels, *test_labels])
+    splits = [(np.arange(n_train), np.arange(n_train, pts.shape[0]), k, seed)]
+    ((params, accuracy, _, notes),) = _score_holdouts(pts, classes, codes,
+                                                      splits, grid)
+    return accuracy, params, notes
 
 
 def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,
@@ -889,28 +912,13 @@ def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,
         else np.random.SeedSequence(seed)
     seeds = ss.spawn(outer_k + 1)
     folds = kfold_splits(codes, outer_k, seeds[0])
-    trains = [np.delete(np.arange(pts.shape[0]), holdout) for holdout in folds]
     # Training sets grow with the fold index, so an inner k too large for
     # one fails on fold 0 first, as in a fold-by-fold loop.
-    searches = _search_many(pts, classes, codes, [
-        (train, inner_k, seeds[f + 1]) for f, train in enumerate(trains)], grid)
-    # Folds after the first failed search are never refit.
-    failed = next((f for f, r in enumerate(searches)
-                   if isinstance(r, ValueError)), len(folds))
-    chosen = [params for params, _ in searches[:failed]]
-    refits = _predict_splits(pts, classes, codes, [
-        (trains[f], folds[f], (chosen[f],)) for f in range(failed)])
-    fold_acc = []
-    notes = []
+    scored = _score_holdouts(pts, classes, codes, [
+        (np.delete(np.arange(pts.shape[0]), holdout), holdout, inner_k,
+         seeds[f + 1]) for f, holdout in enumerate(folds)], grid)
     pooled = np.zeros((len(classes), len(classes)), dtype=int)
-    for holdout, (fit,) in zip(folds, refits):
-        if isinstance(fit, ValueError):
-            raise fit
-        pred, fold_notes = fit
-        fold_acc.append(float(np.mean(codes[holdout] == pred)))
-        notes.append(fold_notes)
+    for holdout, (_, _, pred, _) in zip(folds, scored):
         np.add.at(pooled, (codes[holdout], pred), 1)
-    if failed < len(folds):
-        raise searches[failed]
-    return CVReport(tuple(fold_acc), tuple(chosen), classes, pooled,
-                    tuple(notes))
+    chosen, fold_acc, _, notes = zip(*scored)
+    return CVReport(fold_acc, chosen, classes, pooled, notes)

@@ -196,10 +196,6 @@ def _load_uniform_splits(cfg: RunConfig):
             values[:, n_train:], list(ds.test_labels))
 
 
-def _cell_config(cfg: RunConfig, windows: int, smoothings: int) -> GeoStatConfig:
-    return GeoStatConfig(smoothing_iterations=smoothings, num_windows=windows)
-
-
 def _extract_cell(args):
     """Train and test matrices of the grid cells of one smoothing, one pair
     per window count, from one signal pass over each split."""
@@ -212,11 +208,19 @@ def _extract_cell(args):
 def _extract_grid(cfg: RunConfig):
     """Feature matrices for every grid cell, keyed by (windows, smoothings)."""
     splits = _load_uniform_splits(cfg)
-    tasks = [(*splits, [_cell_config(cfg, w, s) for w in cfg.windows])
-             for s in cfg.smoothings]
+    tasks = [(*splits, [GeoStatConfig(smoothing_iterations=s, num_windows=w)
+                        for w in cfg.windows]) for s in cfg.smoothings]
     results = _run_tasks(_extract_cell, tasks, cfg.jobs)
     return {(w, s): pair for s, cell_pairs in zip(cfg.smoothings, results)
             for w, pair in zip(cfg.windows, cell_pairs)}
+
+
+def _read_features(path) -> FeatureMatrix:
+    """A features file that has at least one feature column."""
+    fm = features.read_feature_csv(path)
+    if not fm.n_columns:
+        raise ValueError(f"{path}:1: no feature column before 'label'")
+    return fm
 
 
 def _load_feature_pair(cfg: RunConfig):
@@ -227,7 +231,7 @@ def _load_feature_pair(cfg: RunConfig):
     if not os.path.exists(train_path) or not os.path.exists(test_path):
         raise FileNotFoundError(
             f"expected features_train.csv and features_test.csv under {base}")
-    return features.read_feature_csv(train_path), features.read_feature_csv(test_path)
+    return _read_features(train_path), _read_features(test_path)
 
 
 def _feature_grid(cfg: RunConfig):
@@ -266,10 +270,9 @@ def cmd_extract(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _evaluate_task(args):
-    """One (entry, model, run): select on train folds, refit, score test.
+    """One (entry, model, run): select on train folds, refit, score test,
+    through ``classify.holdout_cv``.
 
-    It scores as ``classify.nested_cv`` scores an outer fold, with the
-    train split as the training rows and the test split as the holdout.
     ``columns`` lists the column indices the entry keeps, or is None for all.
     """
     from . import classify
@@ -278,24 +281,11 @@ def _evaluate_task(args):
         train_fm = features.select_columns(train_fm, columns)
         test_fm = features.select_columns(test_fm, columns)
     train_n, (test_n,), _, _ = features.z_normalize(train_fm, [test_fm])
-    # One class list over both splits: a class with no training row gets a
-    # code but never wins a vote, so its test rows count as wrong.
-    pts, classes, codes = classify._training_data(
-        np.vstack([train_n.rows, test_n.rows]),
-        list(train_n.labels) + list(test_n.labels))
-    train = np.arange(train_n.rows.shape[0])
-    test = np.arange(train.size, pts.shape[0])
-    seed = np.random.SeedSequence(list(seed_entropy))
-    (search,) = classify._search_many(pts, classes, codes, [(train, folds, seed)],
-                                      classify.default_grid(model))
-    if isinstance(search, ValueError):
-        raise search
-    ((fit,),) = classify._predict_splits(pts, classes, codes,
-                                         [(train, test, (search[0],))])
-    if isinstance(fit, ValueError):
-        raise fit
-    pred, notes = fit
-    return float(np.mean(codes[test] == pred)), notes
+    acc, _, notes = classify.holdout_cv(
+        train_n.rows, train_n.labels, test_n.rows, test_n.labels,
+        classify.default_grid(model), folds,
+        np.random.SeedSequence(list(seed_entropy)))
+    return acc, notes
 
 
 def _evaluate_matrices(cfg: RunConfig, entries) -> dict:
@@ -356,7 +346,7 @@ def _nested_feature_matrix(cfg: RunConfig) -> FeatureMatrix:
     path = cfg.dataset
     if os.path.isdir(path):
         path = os.path.join(path, "features.csv")
-    return features.read_feature_csv(path)
+    return _read_features(path)
 
 
 def _nested_task(args):

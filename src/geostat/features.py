@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -492,10 +493,22 @@ def write_feature_csv(fm: FeatureMatrix, path) -> None:
             os.unlink(tmp)
 
 
+def _is_finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def read_feature_csv(path) -> FeatureMatrix:
-    """Inverse of :func:`write_feature_csv`. A file with no data row, or a
-    row whose field count differs from the header's, is a ``ValueError``
-    that names the file (and the row's line)."""
+    """Inverse of :func:`write_feature_csv`.
+
+    A ``ValueError`` names the file, and the line and column where there is
+    one, for a file with no data row, a header column not of the form
+    ``distribution.window.statistic`` with an integer window, a row whose
+    field count differs from the header's, and a value that is not a finite
+    number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -507,15 +520,27 @@ def read_feature_csv(path) -> FeatureMatrix:
         for name in header[:-1]:
             # Statistic names may themselves contain dots (q0.5), so split
             # off the distribution and window from the left.
-            dist, window, stat = name.split(".", 2)
-            cols.append((dist, int(window), stat))
+            parts = name.split(".", 2)
+            if len(parts) < 3 or not parts[1].isdecimal():
+                raise ValueError(f"{path}:1: column {name!r} is not "
+                                 f"distribution.window.statistic")
+            cols.append((parts[0], int(parts[1]), parts[2]))
         rows = []
         labels = []
         for line in reader:
             if len(line) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: expected "
                                  f"{len(header)} fields, got {len(line)}")
-            rows.append([float(v) for v in line[:-1]])
+            try:
+                row = [float(v) for v in line[:-1]]
+            except ValueError:
+                row = None
+            if row is None or not all(map(math.isfinite, row)):
+                name, text = next((name, text) for name, text
+                                  in zip(header, line) if not _is_finite(text))
+                raise ValueError(f"{path}:{reader.line_num}: column {name!r} "
+                                 f"holds {text!r}, not a finite number")
+            rows.append(row)
             labels.append(line[-1])
     if not rows:
         raise ValueError(f"{path}: no data rows")

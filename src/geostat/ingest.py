@@ -275,9 +275,9 @@ def load_vessels(path) -> list:
     grouped into tracks by the vessel-id column. When a file has no label
     column, the file stem is used as the label for all its tracks (the
     one-file-per-class layout). Rows with fewer fields than the header, with
-    a numeric field that is not a finite number, or with a negative speed
-    are skipped; a file the CSV reader cannot parse raises ``ValueError``
-    naming the file and line.
+    a numeric field that is not a finite number, with a negative speed, or
+    with a latitude outside [-90, 90] are skipped; a file the CSV reader
+    cannot parse raises ``ValueError`` naming the file and line.
     """
     p = Path(path)
     files = sorted(p.glob("*.csv")) if p.is_dir() else [p]
@@ -315,8 +315,11 @@ def _load_vessel_file(path: Path) -> list:
                     sample = tuple(map(float, fields(rec)))
                 except ValueError:
                     continue  # skip rows with unusable numeric fields
-                if not all(map(math.isfinite, sample)) or sample[3] < 0:
-                    continue  # a non-finite field or a negative speed
+                # Skip a non-finite field, a negative speed, and a latitude
+                # outside [-90, 90].
+                if (not all(map(math.isfinite, sample)) or sample[3] < 0
+                        or abs(sample[1]) > 90):
+                    continue
                 vid = default_label if id_at is None else rec[id_at]
                 label = (default_label if label_at is None
                          else rec[label_at].strip())

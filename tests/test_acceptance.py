@@ -25,7 +25,6 @@ from conftest import (
 )
 from geostat.classify import (
     KNNParams,
-    accuracy,
     default_svm_grid,
     fit_model,
     grid_search_cv,
@@ -208,7 +207,8 @@ def _pipeline_accuracy(train_s, train_y, test_s, test_y, seed):
     params, _ = grid_search_cv(train_n.rows, train_n.labels,
                                default_svm_grid(), k=10, seed=seed)
     model = fit_model(train_n.rows, train_n.labels, params)
-    return accuracy(test_n.labels, predict_model(model, test_n.rows))
+    pred = predict_model(model, test_n.rows)
+    return float(np.mean(pred == np.array(test_n.labels, dtype=object)))
 
 
 def test_criterion_5_pipeline_sanity():
@@ -360,7 +360,7 @@ def test_criterion_9_archive_integration():
     else:
         pred = nn_dtw_classify(ds.train_series, ds.train_labels,
                                ds.test_series)
-        bar = accuracy(ds.test_labels, pred)
+        bar = float(np.mean(pred == np.array(ds.test_labels, dtype=object)))
 
     all_ts = [series_to_time_series(v)
               for v in ds.train_series + ds.test_series]
@@ -388,8 +388,9 @@ def test_criterion_9_archive_integration():
                     params, _ = grid_search_cv(train_n.rows, train_n.labels,
                                                grid, k=10, seed=seed)
                     fitted = fit_model(train_n.rows, train_n.labels, params)
-                    run_scores.append(accuracy(
-                        test_n.labels, predict_model(fitted, test_n.rows)))
+                    pred = predict_model(fitted, test_n.rows)
+                    run_scores.append(float(np.mean(
+                        pred == np.array(test_n.labels, dtype=object))))
                 best = max(best, float(np.mean(run_scores)))
     assert best >= bar
     report("9 archive integration")

@@ -12,12 +12,11 @@ from geostat.classify import (
     KNNModel,
     KNNParams,
     SVMParams,
-    accuracy,
-    confusion_matrix,
     default_knn_grid,
     default_svm_grid,
     fit_model,
     grid_search_cv,
+    holdout_cv,
     kernel_matrix,
     kfold_splits,
     knn_fit,
@@ -253,6 +252,7 @@ def reference_grid_search(points, labels, grid, k=10, seed=0):
     all_idx = np.arange(pts.shape[0])
     best_params = None
     best_score = -np.inf
+    reason = None  # of the first infeasible point
     for params in grid:
         scores = []
         for fold in folds:
@@ -261,14 +261,15 @@ def reference_grid_search(points, labels, grid, k=10, seed=0):
             train_idx = all_idx[train_mask]
             try:
                 model = fit_model(pts[train_idx], labels[train_idx], params)
-            except ValueError:
+            except ValueError as exc:
+                reason = reason or f"{params.tag()}: {exc}"
                 scores = None
                 break
             if isinstance(model, KNNModel):
                 pred = reference_knn_predict(model, pts[fold])
             else:
                 pred = predict_model(model, pts[fold])
-            scores.append(accuracy(labels[fold], pred))
+            scores.append(float(np.mean(labels[fold] == pred)))
         if scores is None:
             continue
         score = float(np.mean(scores))
@@ -276,8 +277,20 @@ def reference_grid_search(points, labels, grid, k=10, seed=0):
             best_score = score
             best_params = params
     if best_params is None:
-        raise ValueError("no grid point was feasible for this data")
+        raise ValueError(f"no grid point was feasible for this data ({reason})")
     return best_params, best_score
+
+
+def reference_holdout_cv(train_x, train_y, test_x, test_y, grid, k, seed):
+    """The earlier train/test scoring: a grid search on the training rows,
+    then a refit and a prediction through the per-model functions.
+    ``holdout_cv`` must return the same result and raise the same errors."""
+    params, _ = reference_grid_search(train_x, train_y, grid, k=k, seed=seed)
+    model = fit_model(train_x, train_y, params)
+    pred = predict_model(model, test_x)
+    notes = model.warnings if isinstance(model, classify.SVMModel) else ()
+    truth = np.array([str(v) for v in test_y], dtype=object)
+    return float(np.mean(pred == truth)), params, notes
 
 
 def reference_nested_cv(points, labels, grid, outer_k=10, inner_k=10, seed=0):
@@ -302,14 +315,22 @@ def reference_nested_cv(points, labels, grid, outer_k=10, inner_k=10, seed=0):
                                    k=inner_k, seed=seeds[f + 1])
         model = fit_model(pts[train_idx], labels[train_idx], params)
         pred = predict_model(model, pts[holdout])
-        fold_acc.append(accuracy(labels[holdout], pred))
+        fold_acc.append(float(np.mean(labels[holdout] == pred)))
         chosen.append(params)
         notes.append(model.warnings if isinstance(model, classify.SVMModel)
                      else ())
-        _, mat = confusion_matrix(labels[holdout], pred, classes)
-        pooled += mat
+        for true, predicted in zip(labels[holdout], pred):
+            pooled[classes.index(true), classes.index(predicted)] += 1
     return CVReport(tuple(fold_acc), tuple(chosen), classes, pooled,
                     tuple(notes))
+
+
+def raised(run, *args, **kwargs) -> str:
+    """The message of the ``ValueError`` that ``run(*args, **kwargs)``
+    raises."""
+    with pytest.raises(ValueError) as info:
+        run(*args, **kwargs)
+    return str(info.value)
 
 
 def assert_same_report(got, want):
@@ -515,7 +536,7 @@ class TestSVM:
         y = ["same", "same", "diff", "diff"]
         model = svm_fit(x, y, SVMParams(c=10.0, kernel="rbf"))
         assert model.converged
-        assert accuracy(y, svm_predict(model, x)) == 1.0
+        assert list(svm_predict(model, x)) == y
 
     def test_dual_feasibility(self):
         rng = np.random.default_rng(3)
@@ -625,7 +646,7 @@ class TestSVM:
         x, y = make_blobs(10, [[0, 0], [4, 0], [0, 4]], seed=5)
         model = svm_fit(x, y, SVMParams(c=1.0, kernel="linear"))
         assert len(model.pairs) == 3
-        assert accuracy(y, svm_predict(model, x)) == 1.0
+        assert list(svm_predict(model, x)) == y
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -865,16 +886,20 @@ class TestGridSearchAgainstReference:
                 KNNParams(4, "distance"), SVMParams(0.1, "linear"))
         got = grid_search_cv(x, y, grid, k=3, seed=2)
         assert got == reference_grid_search(x, y, grid, k=3, seed=2)
-        for search in (grid_search_cv, reference_grid_search):
-            with pytest.raises(ValueError, match="no grid point was feasible"):
-                search(x, y, grid[:2], k=3, seed=2)
+        errors = [raised(search, x, y, grid[:2], k=3, seed=2)
+                  for search in (grid_search_cv, reference_grid_search)]
+        assert errors[0] == errors[1] == (
+            "no grid point was feasible for this data (knn(k=10,weights="
+            "uniform,p=2): n_neighbors=10 exceeds training size 6)")
 
     def test_single_class_fold_sinks_every_svm_point(self):
         x = np.random.default_rng(5).normal(size=(10, 2))
         y = ["a"] * 9 + ["b"]
-        for search in (grid_search_cv, reference_grid_search):
-            with pytest.raises(ValueError, match="no grid point was feasible"):
-                search(x, y, default_svm_grid(), k=5, seed=0)
+        errors = [raised(search, x, y, default_svm_grid(), k=5, seed=0)
+                  for search in (grid_search_cv, reference_grid_search)]
+        assert errors[0] == errors[1] == (
+            "no grid point was feasible for this data "
+            "(svm(C=0.1,kernel=linear): need at least two classes)")
         assert grid_search_cv(x, y, MIXED_GRID, k=5, seed=0) == \
             reference_grid_search(x, y, MIXED_GRID, k=5, seed=0)
 
@@ -1013,12 +1038,12 @@ class TestNestedCVAgainstReference:
 
     def test_refits_use_no_per_model_function(self, monkeypatch):
         called = []
-        for name in ("fit_model", "predict_model", "knn_fit", "knn_predict",
-                     "accuracy", "confusion_matrix"):
+        for name in ("fit_model", "predict_model", "knn_fit", "knn_predict"):
             monkeypatch.setattr(classify, name,
                                 lambda *a, name=name, **k: called.append(name))
         x, y = make_blobs(12, [0.0, 1.0, 2.0], spread=1.0, seed=8)
         report = nested_cv(x, y, MIXED_GRID, outer_k=4, inner_k=3, seed=0)
+        holdout_cv(x[::2], y[::2], x[1::2], y[1::2], default_svm_grid(), 3, 0)
         assert called == []
         assert {type(p) for p in report.chosen_params} == {KNNParams, SVMParams}
 
@@ -1051,34 +1076,68 @@ class TestNestedCVAgainstReference:
                 run(x, y, grid, outer_k=2, inner_k=inner_k, seed=3)
 
 
-class TestConfusionMatrix:
-    def test_perfect_prediction_diagonal(self):
-        labels = ["a", "b", "c", "a"]
-        classes, mat = confusion_matrix(labels, labels)
-        assert classes == ("a", "b", "c")
-        np.testing.assert_array_equal(mat, np.diag([2, 1, 1]))
+def split_problem(rng, x, y):
+    """Random train and test rows of a problem, about a third for test."""
+    test = rng.random(len(y)) < 1 / 3
+    test[:2] = [False, True]
+    y = np.array(y, dtype=object)
+    return x[~test], list(y[~test]), x[test], list(y[test])
 
-    def test_single_predicted_class(self):
-        classes, mat = confusion_matrix(["0", "1", "1"], ["0", "0", "0"])
-        np.testing.assert_array_equal(mat, [[1, 0], [2, 0]])
 
-    def test_hand_counted_three_class(self):
-        true = ["a", "a", "b", "b", "c", "c"]
-        pred = ["a", "b", "b", "c", "c", "a"]
-        classes, mat = confusion_matrix(true, pred)
-        np.testing.assert_array_equal(mat, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+class TestHoldoutCVAgainstReference:
+    @GRIDS
+    @pytest.mark.filterwarnings("ignore:smallest class")
+    def test_matches_search_then_refit(self, grid):
+        rng = np.random.default_rng(43)
+        for x, y in comparison_problems(rng, 4, (6, 12)):
+            problem = split_problem(rng, x, y)
+            k = int(rng.integers(2, 5))
+            seed = int(rng.integers(1000))
+            assert holdout_cv(*problem, grid, k, seed) == \
+                reference_holdout_cv(*problem, grid, k, seed)
 
-    def test_trace_over_total_is_accuracy(self):
-        rng = np.random.default_rng(13)
-        true = [str(v) for v in rng.integers(0, 4, 50)]
-        pred = [str(v) for v in rng.integers(0, 4, 50)]
-        _, mat = confusion_matrix(true, pred)
-        assert mat.trace() / mat.sum() == pytest.approx(accuracy(true, pred))
+    @GRIDS
+    def test_test_only_label_counts_as_wrong(self, grid):
+        x, y = make_blobs(8, [0.0, 1.0, 2.0], spread=1.0, seed=6)
+        train_x, train_y, test_x, test_y = split_problem(
+            np.random.default_rng(6), x, y)
+        test_y = ["new"] * 3 + test_y[3:]
+        got = holdout_cv(train_x, train_y, test_x, test_y, grid, 3, 1)
+        assert got == reference_holdout_cv(train_x, train_y, test_x, test_y,
+                                           grid, 3, 1)
+        assert got[0] <= 1 - 3 / len(test_y)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(["a"], ["a", "b"])
+    def test_infeasible_grid_raises_the_same_error(self):
+        x, y = make_blobs(4, [0.0, 1.0], spread=1.0, seed=3)
+        for grid, k, reason in [
+                ((KNNParams(8), KNNParams(6)), 2,
+                 "knn(k=8,weights=uniform,p=2): n_neighbors=8 exceeds "
+                 "training size 3"),
+                (default_svm_grid(), 3, "svm(C=0.1,kernel=linear): "
+                 "need at least two classes")]:
+            train_y = y[:6] if k == 2 else ["0"] * 5 + ["1"]
+            errors = [raised(run, x[:6], train_y, x[6:], y[6:], grid, k, 0)
+                      for run in (holdout_cv, reference_holdout_cv)]
+            assert errors[0] == errors[1] == (
+                f"no grid point was feasible for this data ({reason})")
 
-    def test_label_outside_classes_rejected(self):
-        with pytest.raises(ValueError, match="label 'c'"):
-            confusion_matrix(["a", "c"], ["a", "a"], classes=["a", "b"])
+    def test_capped_refits_report_the_same_notes(self, monkeypatch):
+        monkeypatch.setattr(classify, "_step_cap", lambda n: 1)
+        x, y = make_blobs(10, [0.0, 1.0, 2.0], spread=1.0, seed=12)
+        problem = split_problem(np.random.default_rng(12), x, y)
+        for grid in (default_svm_grid(), MIXED_GRID):
+            got = holdout_cv(*problem, grid, 3, 4)
+            assert got == reference_holdout_cv(*problem, grid, 3, 4)
+            # Only SVM refits carry notes, and each of these hits the cap.
+            assert bool(got[2]) == isinstance(got[1], SVMParams)
+
+    def test_two_lockstep_calls_per_svm_call(self, lockstep_calls):
+        x, y = make_blobs(12, [0.0, 1.0, 2.0], spread=1.0, seed=8)
+        holdout_cv(*split_problem(np.random.default_rng(8), x, y),
+                   default_svm_grid(), 3, 5)
+        assert len(lockstep_calls) == 2
+
+    def test_rows_and_labels_must_match(self):
+        with pytest.raises(ValueError, match="one label per training row"):
+            holdout_cv(np.zeros((4, 2)), ["a", "b"] * 3, np.zeros((2, 2)),
+                       ["a"], [KNNParams(1)], 2, 0)

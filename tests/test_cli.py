@@ -110,6 +110,21 @@ class TestEvaluate:
         assert [float(r[5]) for r in rows["plain"]] == [1.0, 1.0]
         assert [float(r[5]) for r in rows["extra"]] == [0.75, 0.75]
 
+    def test_no_feasible_point_names_the_reason(self, tmp_path, capsys):
+        train_s, _ = sine_chirp_dataset(4, length=40, noise=0.02, seed=1)
+        test_s, test_y = sine_chirp_dataset(2, length=40, noise=0.02, seed=2)
+        data = write_ucr_dataset(tmp_path, "Tiny",
+                                 ucr_rows_from_dataset(train_s, ["a"] * 8),
+                                 ucr_rows_from_dataset(test_s, test_y))
+        out = tmp_path / "out"
+        assert run("evaluate", "--dataset", data, "--out", out,
+                   "--smoothings", "1", "--windows", "1", "--models", "svm",
+                   *BASE_FLAGS) == 1
+        assert capsys.readouterr().err == (
+            "error: no grid point was feasible for this data "
+            "(svm(C=0.1,kernel=linear): need at least two classes)\n")
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tiny_dataset, tmp_path):
         out = tmp_path / "out"
         config = tmp_path / "run.json"
@@ -304,8 +319,10 @@ class TestFeaturesInput:
 
 
 class TestBadFeatureFiles:
-    """A features file with no data row, or a row of the wrong length, is an
-    error line that names the file, before any fit or write."""
+    """A features file with no data row or no feature column, a malformed
+    header column, a row of the wrong length, or a value that is not a
+    finite number is an error line that names the file (and the line and
+    column), before any fit or write."""
 
     @pytest.mark.parametrize("content, where", [
         ("", ": empty file, expected a header row"),
@@ -313,7 +330,20 @@ class TestBadFeatureFiles:
         ("position.0.mean,label\n1.0,a\n2.0,3.0,b\n",
          ":3: expected 2 fields, got 3"),
         ("position.0.mean,label\n1.0,a\nb\n", ":3: expected 2 fields, got 1"),
-    ], ids=["empty", "header-only", "long-row", "short-row"])
+        ("position.0.mean,position.0.std,label\n1.0,2.0,a\n1.0,x,b\n",
+         ":3: column 'position.0.std' holds 'x', not a finite number"),
+        ("position.0.mean,label\n1.0,a\nnan,b\n",
+         ":3: column 'position.0.mean' holds 'nan', not a finite number"),
+        ("position.0.mean,label\n-inf,a\n1.0,b\n",
+         ":2: column 'position.0.mean' holds '-inf', not a finite number"),
+        ("position.0.mean,mean,label\n1.0,2.0,a\n",
+         ":1: column 'mean' is not distribution.window.statistic"),
+        ("position.b.mean,label\n1.0,a\n",
+         ":1: column 'position.b.mean' is not distribution.window.statistic"),
+        ("label\na\nb\n", ":1: no feature column before 'label'"),
+    ], ids=["empty", "header-only", "long-row", "short-row", "non-numeric",
+            "nan", "infinite", "column-without-dots", "non-integer-window",
+            "label-only"])
     @pytest.mark.parametrize("command, name", [
         ("evaluate", "features_train.csv"), ("nested", "features.csv")])
     def test_is_error(self, tmp_path, capsys, command, name, content, where):
@@ -538,6 +568,21 @@ class TestVesselRows:
         assert names == sorted(os.listdir(tmp_path / "negative"))
         for name in names:
             assert ((tmp_path / "negative" / name).read_bytes()
+                    == (tmp_path / "clean" / name).read_bytes())
+
+    @pytest.mark.parametrize("lat", ["95.0", "-90.5"])
+    def test_latitude_out_of_range_row_is_skipped(self, tmp_path, capsys, lat):
+        lines = vessel_lines()
+        fields = lines[5].split(",")
+        fields[2] = lat
+        assert run_vessel_nested(tmp_path, lines[:5] + lines[6:], "clean") == 0
+        assert run_vessel_nested(tmp_path, lines[:5] + [",".join(fields)]
+                                 + lines[6:], "polar") == 0
+        assert capsys.readouterr().err == ""
+        names = sorted(os.listdir(tmp_path / "clean"))
+        assert names == sorted(os.listdir(tmp_path / "polar"))
+        for name in names:
+            assert ((tmp_path / "polar" / name).read_bytes()
                     == (tmp_path / "clean" / name).read_bytes())
 
     def test_oversized_field_is_an_error(self, tmp_path, capsys):

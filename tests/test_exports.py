@@ -1,6 +1,9 @@
-"""Every exported name resolves, so a deletion leaves no stale export."""
+"""Every exported name resolves, so a deletion leaves no stale export, and
+the command-line module uses only the public names of the others."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,24 @@ def test_star_import():
     namespace = {}
     exec("from geostat import *", namespace)
     assert "univariate_grid" in namespace and "load_ucr" in namespace
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    source = Path(importlib.import_module("geostat.cli").__file__).read_text()
+    tree = ast.parse(source)
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(a.asname or a.name for a in node.names)
+            else:
+                private += [f"{node.module}.{a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert modules >= {"classify", "features", "ingest"}
+    assert private == []
