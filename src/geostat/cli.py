@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -33,7 +34,6 @@ import numpy as np
 # extract, which needs neither, does not pay for loading them.
 from . import features, ingest, series
 from .features import AblationMask, FeatureMatrix, GeoStatConfig
-from .stats import MULTIVARIATE_QUANTILES, SummaryConfig
 
 __all__ = ["main", "RunConfig"]
 
@@ -174,9 +174,17 @@ def _load_uniform_splits(cfg: RunConfig):
     """Load an archive dataset as uniform series sharing one step.
 
     Returns ``(step, train values, train labels, test values, test
-    labels)``, each split's values one (samples x series) array.
+    labels)``, each split's values one (samples x series) array. A series
+    of fewer than 2 values is an error that names its split and its
+    1-based row in that split.
     """
     ds = ingest.load_ucr(cfg.dataset)
+    for split, split_series in (("train", ds.train_series),
+                                ("test", ds.test_series)):
+        for row, values in enumerate(split_series, start=1):
+            if len(values) < 2:
+                raise ValueError(f"{split} row {row}: a series needs at "
+                                 f"least 2 values to featurize, got 1")
     raw = ds.train_series + ds.test_series
     if ds.equal_length:
         # One series with a coordinate per input series: one grid and one
@@ -224,14 +232,29 @@ def _read_features(path) -> FeatureMatrix:
 
 
 def _load_feature_pair(cfg: RunConfig):
-    """Read pre-extracted train/test matrices (``features`` input format)."""
+    """Read pre-extracted train/test matrices (``features`` input format).
+
+    Test columns that differ from the train columns are an error that names
+    both files and the first column that differs.
+    """
     base = cfg.dataset
     train_path = os.path.join(base, "features_train.csv")
     test_path = os.path.join(base, "features_test.csv")
     if not os.path.exists(train_path) or not os.path.exists(test_path):
         raise FileNotFoundError(
             f"expected features_train.csv and features_test.csv under {base}")
-    return _read_features(train_path), _read_features(test_path)
+    train, test = _read_features(train_path), _read_features(test_path)
+    for i, (a, b) in enumerate(itertools.zip_longest(
+            train.column_labels, test.column_labels), start=1):
+        if a != b:
+            raise ValueError(f"{test_path}: column {i} is {_column_name(b)}, "
+                             f"but in {train_path} it is {_column_name(a)}")
+    return train, test
+
+
+def _column_name(label) -> str:
+    """A column label as a header names it, or ``missing`` for None."""
+    return "missing" if label is None else repr("%s.%d.%s" % label)
 
 
 def _feature_grid(cfg: RunConfig):
@@ -338,11 +361,7 @@ def _nested_feature_matrix(cfg: RunConfig) -> FeatureMatrix:
         tracks = ingest.filter_labels(ingest.load_vessels(cfg.dataset))
         if not tracks:
             raise ValueError("no usable labeled tracks after filtering")
-        geo_cfg = GeoStatConfig(
-            smoothing_iterations=ingest.VESSEL_SMOOTHING_ITERATIONS,
-            num_windows=1,
-            summary=SummaryConfig(quantiles=MULTIVARIATE_QUANTILES))
-        return ingest.vessel_feature_matrix(tracks, geo_cfg)
+        return ingest.vessel_feature_matrix(tracks)
     path = cfg.dataset
     if os.path.isdir(path):
         path = os.path.join(path, "features.csv")

@@ -6,10 +6,20 @@ summarizing every derived distribution inside every window. Columns follow a
 fixed (distribution, window, statistic) order, distribution-major, so that
 ablation masks and single-window slices are plain index computations.
 
-Series are featurized in blocks that share a sample count and step: the
-signals of a block are derived in one array pass, and
-:func:`univariate_grid` summarizes them under every window count of one
-smoothing before moving on, in scratch buffers all blocks reuse.
+Univariate rows have one builder, :func:`univariate_grid`: it featurizes
+series that share a sample count and step in blocks, deriving the signals
+of a block in one array pass and summarizing them under every window count
+of one smoothing before moving on, in scratch buffers all blocks reuse.
+:func:`univariate_matrix` and :func:`extract_univariate` call it.
+
+Which featurizer reads which :class:`GeoStatConfig` field:
+
+* ``smoothing_iterations``, ``num_windows`` and ``summary``: the univariate
+  featurizers and :func:`extract_multivariate`;
+* ``min_samples``: none (series arrive already resampled).
+
+The vessel featurizers in :mod:`geostat.ingest` take no config; their
+smoothing, window length and statistics are module constants there.
 """
 
 from __future__ import annotations
@@ -72,6 +82,11 @@ BLOCK_SAMPLES = 8_000
 @dataclass(frozen=True)
 class GeoStatConfig:
     """Extraction settings: smoothing, windows, statistics.
+
+    ``smoothing_iterations``, ``num_windows`` and ``summary`` are read by
+    :func:`extract_univariate`, :func:`univariate_matrix`,
+    :func:`univariate_grid` and :func:`extract_multivariate`. The vessel
+    featurizers of :mod:`geostat.ingest` read no config.
 
     ``min_samples`` is checked but read by no featurization: the functions
     here take series already resampled, and the CLI resamples with its own
@@ -203,7 +218,8 @@ def extract_univariate(us: UniformSeries, cfg: GeoStatConfig):
     each window. Returns ``(values, column_labels)``; this is the one-row
     case of :func:`univariate_matrix`.
     """
-    return _series_rows([us], cfg)[0], list(_column_labels(cfg))
+    fm = univariate_matrix([us], [""], cfg)
+    return fm.rows[0], list(fm.column_labels)
 
 
 def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig):
@@ -259,73 +275,14 @@ def _column_labels(cfg: GeoStatConfig) -> tuple:
                  for w in range(cfg.num_windows) for s in stat_names)
 
 
-def _univariate_rows(blocks, n_samples: int, step: float, configs,
-                     rows) -> None:
-    """Write the feature rows of series sharing a sample count and step.
-
-    ``blocks`` yields ``(index, values)``: where the block's rows go in each
-    array of ``rows`` (one per config), and the block's series as the
-    columns of a (samples x series) array. The signals of a block are
-    derived once and summarized under every config, all of which share a
-    smoothing; the signals and every summary's scratch space live in one
-    buffer that all blocks reuse.
-    """
-    runs = [_window_runs(n_samples, cfg.num_windows) for cfg in configs]
-    k = configs[0].smoothing_iterations
-    n_dist = len(UNIVARIATE_DISTRIBUTIONS)
-    buffer = np.empty(0)
-    for index, values in blocks:
-        n_series = values.shape[1]
-        size = n_dist * n_series * n_samples
-        if buffer.size < (1 + SCRATCH_COPIES) * size:
-            buffer = np.empty((1 + SCRATCH_COPIES) * size)
-        signals = buffer[:size].reshape(n_dist, n_series, n_samples)
-        for out, signal in zip(signals, univariate_signals(values, step, k)):
-            out[...] = signal.T
-        for cfg, cfg_runs, cfg_rows in zip(configs, runs, rows):
-            block = np.empty((n_series, n_dist, cfg.num_windows,
-                              cfg.summary.size))
-            # Windows of one size are adjacent, so each size is one
-            # reshape and one summary.
-            for w, count, a, width in cfg_runs:
-                part = signals[:, :, a:a + count * width].reshape(
-                    n_dist, n_series, count, width)
-                summarize_into(part, cfg.summary,
-                               block[:, :, w:w + count].transpose(1, 0, 2, 3),
-                               buffer[size:])
-            cfg_rows[index] = block.reshape(n_series, -1)
-
-
-def _series_rows(series: list, cfg: GeoStatConfig) -> np.ndarray:
-    """Feature rows of univariate uniform series, in input order.
-
-    Series sharing a sample count and step are featurized together, at most
-    ``BLOCK_SAMPLES`` samples' worth of series at a time, so transient
-    memory does not grow with the number of series.
-    """
-    groups = {}
-    for i, us in enumerate(series):
-        if us.dim != 1:
-            raise ValueError("univariate features require 1-dimensional series")
-        groups.setdefault((us.n_samples, us.step), []).append(i)
-    rows = np.empty((len(series), len(_column_labels(cfg))))
-    for (n_samples, step), members in groups.items():
-        per_block = max(1, BLOCK_SAMPLES // n_samples)
-        chunks = (members[start:start + per_block]
-                  for start in range(0, len(members), per_block))
-        blocks = ((chunk, np.column_stack([series[i].values[:, 0]
-                                           for i in chunk]))
-                  for chunk in chunks)
-        _univariate_rows(blocks, n_samples, step, [cfg], [rows])
-    return rows
-
-
 def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix:
     """Feature matrix of a collection of univariate uniform series.
 
     Row ``i`` is the feature row of ``series[i]``, as
     :func:`extract_univariate` would give it. Series may differ in length
-    and step.
+    and step: those sharing both are featurized by :func:`univariate_grid`,
+    at most ``BLOCK_SAMPLES`` samples' worth of series per call, so
+    transient memory does not grow with the number of series.
     """
     series = list(series)
     class_labels = list(class_labels)
@@ -333,8 +290,21 @@ def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix
         raise ValueError("series and labels counts differ")
     if not series:
         raise ValueError("empty collection")
-    return FeatureMatrix(_series_rows(series, cfg), _column_labels(cfg),
-                         tuple(class_labels))
+    groups = {}
+    for i, us in enumerate(series):
+        if us.dim != 1:
+            raise ValueError("univariate features require 1-dimensional series")
+        groups.setdefault((us.n_samples, us.step), []).append(i)
+    columns = _column_labels(cfg)
+    rows = np.empty((len(series), len(columns)))
+    for (n_samples, step), members in groups.items():
+        per_block = max(1, BLOCK_SAMPLES // n_samples)
+        for start in range(0, len(members), per_block):
+            chunk = members[start:start + per_block]
+            values = np.column_stack([series[i].values[:, 0] for i in chunk])
+            rows[chunk] = univariate_grid(
+                values, step, [class_labels[i] for i in chunk], [cfg])[0].rows
+    return FeatureMatrix(rows, columns, tuple(class_labels))
 
 
 def univariate_grid(values, step: float, class_labels, configs) -> list:
@@ -343,9 +313,13 @@ def univariate_grid(values, step: float, class_labels, configs) -> list:
     ``values`` is (samples x series), one univariate series per column, all
     sampled every ``step``. The configs share a smoothing and may differ in
     window count and statistics; matrix ``c`` equals
-    :func:`univariate_matrix` of the columns under ``configs[c]``. The
-    signals of each block of ``BLOCK_SAMPLES`` samples are derived once
-    for all configs.
+    :func:`univariate_matrix` of the columns under ``configs[c]``. This is
+    the one function that derives and summarizes univariate signals.
+
+    Series are featurized in blocks of ``BLOCK_SAMPLES`` samples' worth:
+    the signals of a block are derived once and summarized under every
+    config. The signals and every summary's scratch space live in one
+    buffer that all blocks reuse.
     """
     values = np.asarray(values, dtype=float)
     configs = list(configs)
@@ -366,12 +340,31 @@ def univariate_grid(values, step: float, class_labels, configs) -> list:
     if not step > 0:
         raise ValueError("step must be positive")
     columns = [_column_labels(cfg) for cfg in configs]
+    runs = [_window_runs(n_samples, cfg.num_windows) for cfg in configs]
     rows = [np.empty((n_series, len(c))) for c in columns]
+    k = configs[0].smoothing_iterations
+    n_dist = len(UNIVARIATE_DISTRIBUTIONS)
     per_block = max(1, BLOCK_SAMPLES // n_samples)
-    blocks = ((slice(start, start + per_block),
-               values[:, start:start + per_block])
-              for start in range(0, n_series, per_block))
-    _univariate_rows(blocks, n_samples, step, configs, rows)
+    buffer = np.empty((1 + SCRATCH_COPIES) * n_dist * min(per_block, n_series)
+                      * n_samples)
+    for start in range(0, n_series, per_block):
+        block = values[:, start:start + per_block]
+        n_block = block.shape[1]
+        size = n_dist * n_block * n_samples
+        signals = buffer[:size].reshape(n_dist, n_block, n_samples)
+        for out, signal in zip(signals, univariate_signals(block, step, k)):
+            out[...] = signal.T
+        for cfg, cfg_runs, cfg_rows in zip(configs, runs, rows):
+            out = np.empty((n_block, n_dist, cfg.num_windows, cfg.summary.size))
+            # Windows of one size are adjacent, so each size is one
+            # reshape and one summary.
+            for w, count, a, width in cfg_runs:
+                part = signals[:, :, a:a + count * width].reshape(
+                    n_dist, n_block, count, width)
+                summarize_into(part, cfg.summary,
+                               out[:, :, w:w + count].transpose(1, 0, 2, 3),
+                               buffer[size:])
+            cfg_rows[start:start + n_block] = out.reshape(n_block, -1)
     return [FeatureMatrix(r, c, class_labels) for r, c in zip(rows, columns)]
 
 
@@ -505,9 +498,9 @@ def read_feature_csv(path) -> FeatureMatrix:
 
     A ``ValueError`` names the file, and the line and column where there is
     one, for a file with no data row, a header column not of the form
-    ``distribution.window.statistic`` with an integer window, a row whose
-    field count differs from the header's, and a value that is not a finite
-    number.
+    ``distribution.window.statistic`` with an integer window, a header
+    column that repeats an earlier one, a row whose field count differs
+    from the header's, and a value that is not a finite number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -516,7 +509,7 @@ def read_feature_csv(path) -> FeatureMatrix:
             raise ValueError(f"{path}: empty file, expected a header row")
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: expected trailing 'label' column")
-        cols = []
+        cols = {}  # a dict, for its order and its fast membership test
         for name in header[:-1]:
             # Statistic names may themselves contain dots (q0.5), so split
             # off the distribution and window from the left.
@@ -524,7 +517,11 @@ def read_feature_csv(path) -> FeatureMatrix:
             if len(parts) < 3 or not parts[1].isdecimal():
                 raise ValueError(f"{path}:1: column {name!r} is not "
                                  f"distribution.window.statistic")
-            cols.append((parts[0], int(parts[1]), parts[2]))
+            col = (parts[0], int(parts[1]), parts[2])
+            if col in cols:
+                raise ValueError(f"{path}:1: column {name!r} repeats an "
+                                 f"earlier column")
+            cols[col] = None
         rows = []
         labels = []
         for line in reader:

@@ -21,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureMatrix, FRECHET_STATISTICS, GeoStatConfig
+from .features import FeatureMatrix, FRECHET_STATISTICS
 from .geometry import _diff_values, _turn_rate, speed
 from .series import TimeSeries, _lerp, _smooth_runs
-from .stats import SphericalSample, frechet_mean_variance, summarize
+from .stats import (MULTIVARIATE_QUANTILES, SphericalSample, SummaryConfig,
+                    frechet_mean_variance, summarize)
 
 __all__ = [
     "UCRDataset",
@@ -40,6 +41,7 @@ __all__ = [
     "vessel_feature_matrix",
     "binary_fishing_labels",
     "VESSEL_DISTRIBUTIONS",
+    "VESSEL_SUMMARY",
 ]
 
 _MISSING_MARKERS = {"", "nan", "?"}
@@ -49,6 +51,8 @@ GAP_THRESHOLD_SECONDS = 5400.0
 MIN_SEGMENT_POINTS = 4
 VESSEL_SMOOTHING_ITERATIONS = 10
 VESSEL_WINDOW_SECONDS = 600.0
+# The statistics of every pooled vessel distribution.
+VESSEL_SUMMARY = SummaryConfig(quantiles=MULTIVARIATE_QUANTILES)
 
 DROP_LABELS = frozenset({"unknown", "other_fishing", "gear_buoy", "gear/buoy"})
 
@@ -500,7 +504,7 @@ def _window_means(segments):
     return means, counts
 
 
-def _feature_rows(segment_sets, cfg: GeoStatConfig):
+def _feature_rows(segment_sets):
     """Feature rows of segmented tracks and their column labels.
 
     The window means of all tracks come from one :func:`_window_means` call,
@@ -510,7 +514,7 @@ def _feature_rows(segment_sets, cfg: GeoStatConfig):
     means, counts = _window_means([a for s in segment_sets for a in s.active])
     segment_bounds = np.cumsum([0] + [len(s.active) for s in segment_sets])
     column_bounds = np.concatenate([[0], np.cumsum(counts)])[segment_bounds]
-    stat_names = cfg.summary.statistic_names
+    stat_names = VESSEL_SUMMARY.statistic_names
     labels = ([(VESSEL_DISTRIBUTIONS[0], 0, s) for s in FRECHET_STATISTICS]
               + [(d, 0, s) for d in VESSEL_DISTRIBUTIONS[1:] for s in stat_names])
 
@@ -531,17 +535,18 @@ def _feature_rows(segment_sets, cfg: GeoStatConfig):
                 groups.setdefault(x.size, []).append((i, d, x))
     for group in groups.values():
         track, dist, xs = zip(*group)
-        summaries[track, dist] = summarize(np.array(xs), cfg.summary)
+        summaries[track, dist] = summarize(np.array(xs), VESSEL_SUMMARY)
     return rows, labels
 
 
-def vessel_features(seg: SegmentSet, cfg: GeoStatConfig):
+def vessel_features(seg: SegmentSet):
     """Feature row of one segmented vessel track.
 
     Pools the window means of all active segments into one distribution per
-    signal, summarizes each, and appends summaries of the activity,
-    inactivity and gap duration distributions, in ``VESSEL_DISTRIBUTIONS``
-    order; position is summarized by its Frechet mean and variance.
+    signal, summarizes each under ``VESSEL_SUMMARY``, and appends
+    summaries of the activity, inactivity and gap duration distributions,
+    in ``VESSEL_DISTRIBUTIONS`` order; position is summarized by its
+    Frechet mean and variance.
     Distributions that are empty for this track (no active segments, no
     gaps, ...) produce all-zero summaries so every track yields the same
     feature schema. This is the one-track case of
@@ -549,11 +554,11 @@ def vessel_features(seg: SegmentSet, cfg: GeoStatConfig):
 
     Returns ``(values, column_labels)``.
     """
-    rows, labels = _feature_rows([seg], cfg)
+    rows, labels = _feature_rows([seg])
     return rows[0], labels
 
 
-def vessel_feature_matrix(tracks, cfg: GeoStatConfig) -> FeatureMatrix:
+def vessel_feature_matrix(tracks) -> FeatureMatrix:
     """Segment and featurize a collection of labeled tracks.
 
     Row ``i`` equals :func:`vessel_features` of track ``i``, but the window
@@ -562,7 +567,7 @@ def vessel_feature_matrix(tracks, cfg: GeoStatConfig) -> FeatureMatrix:
     tracks = list(tracks)
     if not tracks:
         raise ValueError("no tracks to featurize")
-    rows, labels = _feature_rows([segment_vessel(t) for t in tracks], cfg)
+    rows, labels = _feature_rows([segment_vessel(t) for t in tracks])
     return FeatureMatrix(rows, tuple(labels),
                          tuple(t.label for t in tracks))
 

@@ -311,18 +311,13 @@ FISHING_CLASSES = {"drifting_longlines", "fixed_gear", "pole_and_line",
 @pytest.mark.skipif("GEOSTAT_GFW_DIR" not in os.environ,
                     reason="set GEOSTAT_GFW_DIR to run the vessel integration")
 def test_criterion_8_vessel_integration():
-    from geostat.ingest import (VESSEL_SMOOTHING_ITERATIONS, filter_labels,
-                                load_vessels, vessel_feature_matrix)
-    from geostat.stats import MULTIVARIATE_QUANTILES
+    from geostat.ingest import filter_labels, load_vessels, vessel_feature_matrix
 
     tracks = load_vessels(os.environ["GEOSTAT_GFW_DIR"])
     usable = filter_labels(tracks)
     assert len(usable) == 1107
 
-    cfg = GeoStatConfig(
-        smoothing_iterations=VESSEL_SMOOTHING_ITERATIONS,
-        summary=SummaryConfig(quantiles=MULTIVARIATE_QUANTILES))
-    fm = vessel_feature_matrix(usable, cfg)
+    fm = vessel_feature_matrix(usable)
     normed, _, _, _ = z_normalize(fm)
 
     from geostat.classify import default_knn_grid

@@ -320,9 +320,9 @@ class TestFeaturesInput:
 
 class TestBadFeatureFiles:
     """A features file with no data row or no feature column, a malformed
-    header column, a row of the wrong length, or a value that is not a
-    finite number is an error line that names the file (and the line and
-    column), before any fit or write."""
+    or repeated header column, a row of the wrong length, or a value that
+    is not a finite number is an error line that names the file (and the
+    line and column), before any fit or write."""
 
     @pytest.mark.parametrize("content, where", [
         ("", ": empty file, expected a header row"),
@@ -341,9 +341,11 @@ class TestBadFeatureFiles:
         ("position.b.mean,label\n1.0,a\n",
          ":1: column 'position.b.mean' is not distribution.window.statistic"),
         ("label\na\nb\n", ":1: no feature column before 'label'"),
+        ("position.0.mean,position.0.mean,label\n1.0,2.0,a\n",
+         ":1: column 'position.0.mean' repeats an earlier column"),
     ], ids=["empty", "header-only", "long-row", "short-row", "non-numeric",
             "nan", "infinite", "column-without-dots", "non-integer-window",
-            "label-only"])
+            "label-only", "repeated-column"])
     @pytest.mark.parametrize("command, name", [
         ("evaluate", "features_train.csv"), ("nested", "features.csv")])
     def test_is_error(self, tmp_path, capsys, command, name, content, where):
@@ -357,6 +359,39 @@ class TestBadFeatureFiles:
         captured = capsys.readouterr()
         assert captured.err == f"error: {data / name}{where}\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("test_header, where", [
+        ("velocity.0.std", "column 1 is 'velocity.0.std', but in {train} "
+                           "it is 'position.0.std'"),
+        ("position.0.std,velocity.0.std",
+         "column 2 is 'velocity.0.std', but in {train} it is missing"),
+    ], ids=["renamed-column", "extra-column"])
+    @pytest.mark.parametrize("command, extra", [
+        ("evaluate", ()), ("ablate", ("--mask", "position")), ("windows", ())],
+        ids=["evaluate", "ablate", "windows"])
+    def test_test_columns_differing_from_train_is_error(
+            self, tmp_path, capsys, monkeypatch, command, extra, test_header,
+            where):
+        def write(name, header):
+            n_columns = header.count(",") + 1
+            (data / name).write_text(f"{header},label\n" + "".join(
+                f"{','.join([str(v)] * n_columns)},{v % 2}\n"
+                for v in range(6)))
+            return data / name
+
+        data = tmp_path / "data"
+        data.mkdir()
+        train = write("features_train.csv", "position.0.std")
+        write("features_test.csv", test_header)
+        monkeypatch.setattr(cli, "_run_tasks",
+                            lambda *args: pytest.fail("a fit started"))
+        out = tmp_path / "out"
+        assert run(command, "--dataset", data, "--format", "features",
+                   "--out", out, "--models", "knn", *extra) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data / 'features_test.csv'}: "
+            f"{where.format(train=train)}\n")
         assert not out.exists()
 
 
@@ -717,9 +752,8 @@ class TestUniformSplits:
 
     @pytest.mark.parametrize("rows, min_samples", [
         ([("1", [0.5, 1.0, 2.0]), ("2", [1.0, 0.0, 1.0])], 2),
-        ([("1", [0.5]), ("2", [1.0])], 5),
         ([("1", [1e308, -1e308, 1e308]), ("2", [1.0, 0.0, 1.0])], 5),
-    ], ids=["min-samples", "one-sample", "overflow"])
+    ], ids=["min-samples", "overflow"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_errors_match_resampling_each_series(self, write, rows,
@@ -733,6 +767,27 @@ class TestUniformSplits:
             cli._load_uniform_splits(types.SimpleNamespace(
                 dataset=str(dataset), min_samples=min_samples))
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("train, test, where", [
+        ([[0.5], [1.0]], [[0.5], [2.0]], "train row 1"),
+        ([[0.5, 1.0, 2.0], [1.0, 0.0, 1.0, 3.0]], [[2.0, 1.0], [4.0]],
+         "test row 2"),
+    ], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_one_value_series_is_error(self, tmp_path, capsys, command,
+                                       train, test, where):
+        dataset = write_ucr_dataset(
+            tmp_path / "D", "D", [("1", train[0]), ("2", train[1])],
+            [("1", test[0]), ("2", test[1])])
+        out = tmp_path / "out"
+        assert run(command, "--dataset", dataset, "--out", out,
+                   "--min-samples", "5") == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}: a series needs at least 2 values to "
+            f"featurize, got 1\n")
+        assert not out.exists()
+        # The warping baseline needs no derivatives, so it reads them.
+        assert run("dtw", "--dataset", dataset, "--out", out) == 0
 
 
 class TestAblate:

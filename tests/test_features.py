@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import itertools
@@ -213,6 +214,39 @@ class TestUnivariateMatrix:
         np.testing.assert_array_equal(single.rows, whole.rows)
         np.testing.assert_array_equal(
             extract_univariate(series[3], cfg)[0], whole.rows[3])
+
+    def test_one_grid_call_per_group_block(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        per_block = features.BLOCK_SAMPLES // 100
+        long_group = [UniformSeries(0.0, 1.0, rng.normal(size=100))
+                      for _ in range(2 * per_block + 10)]
+        mixed = mixed_collection()
+        assert all(us.n_samples != 100 for us in mixed)
+        series = long_group[:per_block] + mixed + long_group[per_block:]
+        labels = [str(i) for i in range(len(series))]
+        grid = features.univariate_grid
+        calls = []
+
+        def counting_grid(values, step, class_labels, configs):
+            calls.append((values.shape, step, len(configs)))
+            return grid(values, step, class_labels, configs)
+
+        monkeypatch.setattr(features, "univariate_grid", counting_grid)
+        cfg = GeoStatConfig(num_windows=2)
+        fm = univariate_matrix(series, labels, cfg)
+        # The long group, over BLOCK_SAMPLES, takes three calls; each group
+        # of the mixed collection fits in one.
+        groups = collections.Counter((us.n_samples, us.step) for us in mixed)
+        assert calls == ([((100, per_block), 1.0, 1)] * 2
+                         + [((100, 10), 1.0, 1)]
+                         + [((n, count), step, 1)
+                            for (n, step), count in groups.items()])
+        # Rows go back in input order.
+        index = [i for i, us in enumerate(series) if us.n_samples == 100]
+        direct = grid(np.column_stack([series[i].values[:, 0] for i in index]),
+                      1.0, [labels[i] for i in index], [cfg])[0]
+        assert fm.rows[index].tobytes() == direct.rows.tobytes()
+        assert fm.labels == tuple(labels)
 
     def test_rejects_multivariate_member(self):
         series = [sine_series(), UniformSeries(0.0, 1.0, np.ones((500, 2)))]

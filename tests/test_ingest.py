@@ -11,6 +11,7 @@ from geostat.ingest import (
     MIN_SEGMENT_POINTS,
     VESSEL_DISTRIBUTIONS,
     VESSEL_SMOOTHING_ITERATIONS,
+    VESSEL_SUMMARY,
     VESSEL_WINDOW_SECONDS,
     ActiveSegment,
     SegmentSet,
@@ -272,13 +273,12 @@ class TestArrayVesselPath:
             ingest._window_means([seg, ActiveSegment(**arrays)])
 
     def test_matrix_rows_equal_single_track_features(self):
-        cfg = vessel_cfg()
         tracks = [random_track(seed) for seed in range(40)]
         tracks += [make_track([(12, 0.1)]),  # no active segment
                    make_track([(20, 5.0), (6, 0.1), (12, 3.0)])]
-        fm = vessel_feature_matrix(tracks, cfg)
+        fm = vessel_feature_matrix(tracks)
         for track, row in zip(tracks, fm.rows, strict=True):
-            want, labels = vessel_features(segment_vessel(track), cfg)
+            want, labels = vessel_features(segment_vessel(track))
             assert np.array_equal(row, want)
         assert fm.column_labels == tuple(labels)
 
@@ -292,7 +292,7 @@ class TestArrayVesselPath:
         segs = [segment_vessel(t) for t in tracks]
         assert not segs[-3].active and not segs[-2].gap_durations
         assert window_means(segs[-1].active)[0].shape == (8, 1)
-        fm = vessel_feature_matrix(tracks, cfg)
+        fm = vessel_feature_matrix(tracks)
         for seg, row in zip(segs, fm.rows, strict=True):
             assert np.array_equal(row, reference_feature_row(seg, cfg))
 
@@ -516,7 +516,7 @@ class TestFilterLabels:
 class TestVesselFeatures:
     def test_schema_and_length(self):
         track = make_track([(20, 5.0), (6, 0.1), (12, 3.0)])
-        vec, labels = vessel_features(segment_vessel(track), vessel_cfg())
+        vec, labels = vessel_features(segment_vessel(track))
         assert len(vec) == 3 + 9 * 16
         dists = []
         for d, _, _ in labels:
@@ -531,7 +531,7 @@ class TestVesselFeatures:
         track = VesselTrack("v", "x", t, np.zeros(n),
                             np.linspace(20.0, 21.0, n), np.full(n, 5.0),
                             np.zeros(n), np.zeros(n))
-        vec, labels = vessel_features(segment_vessel(track), vessel_cfg())
+        vec, labels = vessel_features(segment_vessel(track))
         by_label = dict(zip(labels, vec))
         assert abs(by_label[("curvature", 0, "mean")]) < 1e-6
         assert abs(by_label[("curvature_raw", 0, "mean")]) < 1e-6
@@ -539,14 +539,14 @@ class TestVesselFeatures:
 
     def test_inactive_duration_mean(self):
         seg = segment_vessel(make_track([(10, 5.0), (6, 0.1)]))
-        vec, labels = vessel_features(seg, vessel_cfg())
+        vec, labels = vessel_features(seg)
         by_label = dict(zip(labels, vec))
         assert by_label[("inactive_duration", 0, "mean")] == pytest.approx(
             np.mean(seg.inactive_durations))
 
     def test_no_active_segments_zero_filled(self):
         seg = segment_vessel(make_track([(12, 0.1)]))
-        vec, labels = vessel_features(seg, vessel_cfg())
+        vec, labels = vessel_features(seg)
         by_label = dict(zip(labels, vec))
         assert by_label[("position", 0, "frechet_var")] == 0.0
         assert by_label[("speed", 0, "mean")] == 0.0
@@ -555,9 +555,12 @@ class TestVesselFeatures:
     def test_matrix_assembly(self):
         tracks = [make_track([(20, 5.0), (6, 0.1)], label="trawlers"),
                   make_track([(15, 3.0), (8, 0.1)], label="reefers")]
-        fm = vessel_feature_matrix(tracks, vessel_cfg())
+        fm = vessel_feature_matrix(tracks)
         assert fm.rows.shape == (2, 147)
         assert fm.labels == ("trawlers", "reefers")
+        assert fm.column_labels[3:] == tuple(
+            (d, 0, s) for d in VESSEL_DISTRIBUTIONS[1:]
+            for s in VESSEL_SUMMARY.statistic_names)
 
 
 class TestLoadVessels:
