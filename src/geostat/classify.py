@@ -314,7 +314,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, c: float):
         raise ValueError("labels must be +1 or -1")
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    (result,) = _smo_lockstep([(n, lambda: K)], [(0, y, c, _step_cap(n))])
+    (result,) = _smo_lockstep([(n, lambda: K)], [(0, y, c)])
     if isinstance(result, ValueError):
         raise result
     return result
@@ -326,9 +326,10 @@ def _smo_lockstep(kernels, problems) -> list:
     ``kernels`` holds ``(n, make)`` pairs, where ``make()`` returns an
     ``(n, n)`` kernel matrix; it is called when the kernel's block is
     solved, so only one block of kernels exists at a time. ``problems``
-    holds ``(kernel index, y, c, cap)`` tuples with ``y`` of length n, and
-    problems may share a kernel. Kernels are taken in order of size into
-    blocks of at most ``SMO_BLOCK_ENTRIES`` padded entries.
+    holds ``(kernel index, y, c)`` tuples with ``y`` of length n, and
+    problems may share a kernel; a problem stops after ``_step_cap(n)``
+    pair updates. Kernels are taken in order of size into blocks of at
+    most ``SMO_BLOCK_ENTRIES`` padded entries.
 
     Returns, per problem, ``smo_solve``'s ``(alpha, bias, converged,
     steps)``, or a ``ValueError`` if its kernel is not finite.
@@ -371,7 +372,7 @@ def _smo_lockstep(kernels, problems) -> list:
         alpha, bias, converged, steps = _smo_block(
             stack, np.array([slot for _, slot, _ in todo]), y,
             np.array([problems[b][2] for b, _, _ in todo], dtype=float),
-            np.array([problems[b][3] for b, _, _ in todo]))
+            np.array([_step_cap(n) for _, _, n in todo]))
         for row, (b, _, n) in enumerate(todo):
             results[b] = (alpha[row, :n], float(bias[row]),
                           bool(converged[row]), int(steps[row]))
@@ -605,7 +606,7 @@ def _svm_fit_many(pts, classes, codes, folds, params_lists):
                     for _, _, members, _ in pairs]
             first, gamma = first_kernel[params.kernel]
             plans.append((params, gamma, len(problems)))
-            problems += [(first + q, y, params.c, _step_cap(y.size))
+            problems += [(first + q, y, params.c)
                          for q, (_, _, _, y) in enumerate(pairs)]
         fits.append((pairs, plans))
     results = _smo_lockstep(kernels, problems)
@@ -624,7 +625,7 @@ def _svm_fit_many(pts, classes, codes, folds, params_lists):
             if not ok:
                 names = f"({classes[pos]}, {classes[neg]})"
                 notes.append(f"pair {names} hit the iteration cap"
-                             if steps >= problems[start + q][3] else
+                             if steps >= _step_cap(y.size) else
                              f"pair {names} stopped on a numerically stuck "
                              f"step before the gap closed")
             sv = alpha > 1e-12
@@ -694,7 +695,7 @@ def kfold_splits(labels, k: int, seed) -> list:
     _, codes = _encode(labels)
     n = codes.size
     if k < 2 or k > n:
-        raise ValueError(f"k={k} is invalid for {n} items")
+        raise ValueError(f"cannot split {n} rows into {k} folds")
     rng = np.random.default_rng(seed)
     counts = np.bincount(codes)
     if counts.min() < k:

@@ -11,9 +11,11 @@ dtw        nearest-neighbor baseline under the warping distance
 
 Every run is driven by a JSON config file and/or flags of the same names;
 flags win. A command offers only the flags, and its file may hold only the
-fields, that it reads (``COMMANDS``). All randomness derives from
-``--seed``, and result files are written atomically, so reruns with the
-same seed are byte-identical even with ``--jobs`` greater than one.
+fields, that it reads (``COMMANDS``): only a command that reads two input
+formats offers ``--format``, and each defaults to the first format it
+reads. All randomness derives from ``--seed``, and result files are written
+atomically, so reruns with the same seed are byte-identical even with
+``--jobs`` greater than one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 # classify and dtw are imported by the functions that use them, so that
 # extract, which needs neither, does not pay for loading them.
 from . import features, ingest, series
-from .features import AblationMask, FeatureMatrix, GeoStatConfig
+from .features import AblationMask, FeatureMatrix
 
 __all__ = ["main", "RunConfig"]
 
@@ -206,18 +208,18 @@ def _load_uniform_splits(cfg: RunConfig):
 
 def _extract_cell(args):
     """Train and test matrices of the grid cells of one smoothing, one pair
-    per window count, from one signal pass over each split."""
-    step, train_values, train_labels, test_values, test_labels, configs = args
-    train = features.univariate_grid(train_values, step, train_labels, configs)
-    test = features.univariate_grid(test_values, step, test_labels, configs)
+    per window count, from one signal pass over each split. ``args`` ends
+    with the smoothing and the window counts."""
+    step, train_values, train_labels, test_values, test_labels, *grid = args
+    train = features.univariate_grid(train_values, step, train_labels, *grid)
+    test = features.univariate_grid(test_values, step, test_labels, *grid)
     return list(zip(train, test))
 
 
 def _extract_grid(cfg: RunConfig):
     """Feature matrices for every grid cell, keyed by (windows, smoothings)."""
     splits = _load_uniform_splits(cfg)
-    tasks = [(*splits, [GeoStatConfig(smoothing_iterations=s, num_windows=w)
-                        for w in cfg.windows]) for s in cfg.smoothings]
+    tasks = [(*splits, s, cfg.windows) for s in cfg.smoothings]
     results = _run_tasks(_extract_cell, tasks, cfg.jobs)
     return {(w, s): pair for s, cell_pairs in zip(cfg.smoothings, results)
             for w, pair in zip(cfg.windows, cell_pairs)}
@@ -510,12 +512,14 @@ def cmd_ablate(cfg: RunConfig) -> int:
 def cmd_windows(cfg: RunConfig) -> int:
     cfg, grid = _feature_grid(cfg)
     # Each window slice is seeded as the only cell of its own run (index 0).
+    # Windows are named by their labels, which in a features file need not
+    # run from 0.
     entries = []
     for cell in cfg.grid_cells:
         train_fm, test_fm = grid[cell]
         entries += [((cell, window), 0, train_fm, test_fm,
                      features.window_columns(train_fm, window))
-                    for window in range(cell[0])]
+                    for window in train_fm.windows]
     rows = []
     results = _evaluate_matrices(cfg, entries)
     for (((w, s), window), model), runs in results.items():
@@ -587,18 +591,20 @@ FLAGS = {
 }
 
 # Every command reads these fields.
-SHARED_FIELDS = ("dataset", "format", "out")
-_EVALUATE_FIELDS = ("seed", "jobs", "repetitions", "smoothings", "windows",
-                    "models", "min_samples", "folds")
+SHARED_FIELDS = ("dataset", "out")
+_EVALUATE_FIELDS = ("format", "seed", "jobs", "repetitions", "smoothings",
+                    "windows", "models", "min_samples", "folds")
 
-# Each command, the input formats it reads, and the fields it reads besides
-# the shared ones: its flags and the fields its config file may hold.
+# Each command, the input formats it reads (the first is its default), and
+# the fields it reads besides the shared ones: its flags and the fields its
+# config file may hold. Only a command with a choice of format reads
+# ``format``.
 COMMANDS = {
     "extract": (cmd_extract, ("ucr",),
                 ("jobs", "smoothings", "windows", "min_samples")),
     "evaluate": (cmd_evaluate, ("ucr", "features"), _EVALUATE_FIELDS),
-    "nested": (cmd_nested, ("vessel", "features"),
-               ("seed", "jobs", "repetitions", "models", "folds", "class_map")),
+    "nested": (cmd_nested, ("vessel", "features"), (
+        "format", "seed", "jobs", "repetitions", "models", "folds", "class_map")),
     "ablate": (cmd_ablate, ("ucr", "features"), _EVALUATE_FIELDS + ("masks",)),
     "windows": (cmd_windows, ("ucr", "features"), _EVALUATE_FIELDS),
     "dtw": (cmd_dtw, ("ucr",), ("band",)),
@@ -616,7 +622,8 @@ def _command_parser(sub, name: str) -> None:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """The run's config: the ``--config`` file's fields, then the flags.
+    """The run's config: the command's first format, then the ``--config``
+    file's fields, then the flags.
 
     A file field is an error unless the command reads it.
     """
@@ -634,7 +641,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if unread:
             raise ValueError(f"{args.config}: {args.command} does not read "
                              f"fields {sorted(unread)}")
-    values = dict(file_values)
+    values = {"format": COMMANDS[args.command][1][0], **file_values}
     for name in read:
         cli_value = getattr(args, name)
         if cli_value is not None:

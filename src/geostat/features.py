@@ -12,11 +12,11 @@ of a block in one array pass and summarizing them under every window count
 of one smoothing before moving on, in scratch buffers all blocks reuse.
 :func:`univariate_matrix` and :func:`extract_univariate` call it.
 
-Which featurizer reads which :class:`GeoStatConfig` field:
-
-* ``smoothing_iterations``, ``num_windows`` and ``summary``: the univariate
-  featurizers and :func:`extract_multivariate`;
-* ``min_samples``: none (series arrive already resampled).
+Every featurizer here summarizes under one statistics ladder,
+``UNIVARIATE_SUMMARY``. Of a :class:`GeoStatConfig`, the univariate
+featurizers and :func:`extract_multivariate` read ``smoothing_iterations``
+and ``num_windows``; none reads ``min_samples``, as series arrive already
+resampled.
 
 The vessel featurizers in :mod:`geostat.ingest` take no config; their
 smoothing, window length and statistics are module constants there.
@@ -30,7 +30,7 @@ import itertools
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "FeatureMatrix",
     "AblationMask",
     "UNIVARIATE_DISTRIBUTIONS",
+    "UNIVARIATE_SUMMARY",
     "FRECHET_STATISTICS",
     "window_bounds",
     "extract_univariate",
@@ -68,6 +69,9 @@ UNIVARIATE_DISTRIBUTIONS = (
     "position", "velocity", "acceleration", "curvature", "signed_curvature",
 )
 
+# The statistics of every summary vector this module computes.
+UNIVARIATE_SUMMARY = SummaryConfig()
+
 # Spherical position is summarized by intrinsic mean coordinates plus the
 # intrinsic variance rather than by a scalar summary vector.
 FRECHET_STATISTICS = ("frechet_lat", "frechet_lon", "frechet_var")
@@ -81,12 +85,13 @@ BLOCK_SAMPLES = 8_000
 
 @dataclass(frozen=True)
 class GeoStatConfig:
-    """Extraction settings: smoothing, windows, statistics.
+    """Extraction settings: smoothing and windows.
 
-    ``smoothing_iterations``, ``num_windows`` and ``summary`` are read by
-    :func:`extract_univariate`, :func:`univariate_matrix`,
-    :func:`univariate_grid` and :func:`extract_multivariate`. The vessel
-    featurizers of :mod:`geostat.ingest` read no config.
+    ``smoothing_iterations`` and ``num_windows`` are read by
+    :func:`extract_univariate`, :func:`univariate_matrix` and
+    :func:`extract_multivariate`; every one of them summarizes under
+    ``UNIVARIATE_SUMMARY``. The vessel featurizers of
+    :mod:`geostat.ingest` read no config.
 
     ``min_samples`` is checked but read by no featurization: the functions
     here take series already resampled, and the CLI resamples with its own
@@ -97,7 +102,6 @@ class GeoStatConfig:
     min_samples: int = 500
     smoothing_iterations: int = 1
     num_windows: int = 1
-    summary: SummaryConfig = field(default_factory=SummaryConfig)
 
     def __post_init__(self):
         if self.min_samples < 3:
@@ -246,11 +250,11 @@ def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig):
         values.extend([np.degrees(m_lat), np.degrees(m_lon), var])
         labels.extend(("position", w, s) for s in FRECHET_STATISTICS)
 
-    stat_names = cfg.summary.statistic_names
+    stat_names = UNIVARIATE_SUMMARY.statistic_names
     for name, samples in (("speed", stack.speed),
                           ("speed_derivative", stack.speed_deriv)):
         for w, (a, b) in enumerate(bounds):
-            vec = summarize(samples[a:b], cfg.summary)
+            vec = summarize(samples[a:b], UNIVARIATE_SUMMARY)
             values.extend(vec.tolist())
             labels.extend((name, w, s) for s in stat_names)
     return np.array(values), labels
@@ -269,10 +273,10 @@ def _window_runs(n_samples: int, num_windows: int) -> list:
     return runs
 
 
-def _column_labels(cfg: GeoStatConfig) -> tuple:
-    stat_names = cfg.summary.statistic_names
+def _column_labels(num_windows: int) -> tuple:
+    stat_names = UNIVARIATE_SUMMARY.statistic_names
     return tuple((name, w, s) for name in UNIVARIATE_DISTRIBUTIONS
-                 for w in range(cfg.num_windows) for s in stat_names)
+                 for w in range(num_windows) for s in stat_names)
 
 
 def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix:
@@ -295,7 +299,7 @@ def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix
         if us.dim != 1:
             raise ValueError("univariate features require 1-dimensional series")
         groups.setdefault((us.n_samples, us.step), []).append(i)
-    columns = _column_labels(cfg)
+    columns = _column_labels(cfg.num_windows)
     rows = np.empty((len(series), len(columns)))
     for (n_samples, step), members in groups.items():
         per_block = max(1, BLOCK_SAMPLES // n_samples)
@@ -303,26 +307,28 @@ def univariate_matrix(series, class_labels, cfg: GeoStatConfig) -> FeatureMatrix
             chunk = members[start:start + per_block]
             values = np.column_stack([series[i].values[:, 0] for i in chunk])
             rows[chunk] = univariate_grid(
-                values, step, [class_labels[i] for i in chunk], [cfg])[0].rows
+                values, step, [class_labels[i] for i in chunk],
+                cfg.smoothing_iterations, [cfg.num_windows])[0].rows
     return FeatureMatrix(rows, columns, tuple(class_labels))
 
 
-def univariate_grid(values, step: float, class_labels, configs) -> list:
-    """Feature matrices of many series on one grid, one per config.
+def univariate_grid(values, step: float, class_labels, smoothing: int,
+                    windows) -> list:
+    """Feature matrices of many series on one grid, one per window count.
 
     ``values`` is (samples x series), one univariate series per column, all
-    sampled every ``step``. The configs share a smoothing and may differ in
-    window count and statistics; matrix ``c`` equals
-    :func:`univariate_matrix` of the columns under ``configs[c]``. This is
-    the one function that derives and summarizes univariate signals.
+    sampled every ``step``. Matrix ``c`` equals :func:`univariate_matrix` of
+    the columns with ``smoothing`` iterations and ``windows[c]`` windows.
+    This is the one function that derives and summarizes univariate
+    signals.
 
     Series are featurized in blocks of ``BLOCK_SAMPLES`` samples' worth:
     the signals of a block are derived once and summarized under every
-    config. The signals and every summary's scratch space live in one
-    buffer that all blocks reuse.
+    window count, straight into the rows of each matrix. The signals and
+    every summary's scratch space live in one buffer that all blocks reuse.
     """
     values = np.asarray(values, dtype=float)
-    configs = list(configs)
+    windows = list(windows)
     class_labels = tuple(class_labels)
     if values.ndim != 2:
         raise ValueError("values must be a (samples x series) array")
@@ -331,19 +337,16 @@ def univariate_grid(values, step: float, class_labels, configs) -> list:
         raise ValueError("series and labels counts differ")
     if not n_series:
         raise ValueError("empty collection")
-    if not configs:
-        raise ValueError("need at least one config")
-    if len({cfg.smoothing_iterations for cfg in configs}) > 1:
-        raise ValueError("configs must share a smoothing")
+    if not windows:
+        raise ValueError("need at least one window count")
     if n_samples < 3:
         raise ValueError("uniform series needs at least 3 samples")
     if not step > 0:
         raise ValueError("step must be positive")
-    columns = [_column_labels(cfg) for cfg in configs]
-    runs = [_window_runs(n_samples, cfg.num_windows) for cfg in configs]
-    rows = [np.empty((n_series, len(c))) for c in columns]
-    k = configs[0].smoothing_iterations
+    runs = [_window_runs(n_samples, w) for w in windows]
     n_dist = len(UNIVARIATE_DISTRIBUTIONS)
+    rows = [np.empty((n_series, n_dist, w, UNIVARIATE_SUMMARY.size))
+            for w in windows]
     per_block = max(1, BLOCK_SAMPLES // n_samples)
     buffer = np.empty((1 + SCRATCH_COPIES) * n_dist * min(per_block, n_series)
                       * n_samples)
@@ -352,20 +355,20 @@ def univariate_grid(values, step: float, class_labels, configs) -> list:
         n_block = block.shape[1]
         size = n_dist * n_block * n_samples
         signals = buffer[:size].reshape(n_dist, n_block, n_samples)
-        for out, signal in zip(signals, univariate_signals(block, step, k)):
+        for out, signal in zip(signals, univariate_signals(block, step,
+                                                           smoothing)):
             out[...] = signal.T
-        for cfg, cfg_runs, cfg_rows in zip(configs, runs, rows):
-            out = np.empty((n_block, n_dist, cfg.num_windows, cfg.summary.size))
+        for w_runs, matrix in zip(runs, rows):
+            out = matrix[start:start + n_block].transpose(1, 0, 2, 3)
             # Windows of one size are adjacent, so each size is one
             # reshape and one summary.
-            for w, count, a, width in cfg_runs:
+            for w, count, a, width in w_runs:
                 part = signals[:, :, a:a + count * width].reshape(
                     n_dist, n_block, count, width)
-                summarize_into(part, cfg.summary,
-                               out[:, :, w:w + count].transpose(1, 0, 2, 3),
+                summarize_into(part, UNIVARIATE_SUMMARY, out[:, :, w:w + count],
                                buffer[size:])
-            cfg_rows[start:start + n_block] = out.reshape(n_block, -1)
-    return [FeatureMatrix(r, c, class_labels) for r, c in zip(rows, columns)]
+    return [FeatureMatrix(r.reshape(n_series, -1), _column_labels(w),
+                          class_labels) for r, w in zip(rows, windows)]
 
 
 def z_normalize(train: FeatureMatrix, others=()):

@@ -379,9 +379,11 @@ def exact_match_problems():
         K = kernel_matrix(x, x, "rbf", 0.5)
         yield f"all +1 n={n}", K, np.ones(n), 1.0, None
         yield f"all -1 n={n}", K, -np.ones(n), 1.0, None
-    for steps in (1, 3):
+    # Capped problems are the only ones of their sizes, 32 and 34 points,
+    # so that a ``_step_cap`` keyed on size can give them their caps.
+    for steps, per_class in ((1, 16), (3, 17)):
         for kernel in ("linear", "rbf", "poly"):
-            x, labels = make_blobs(12, [0.0, 1.0], spread=2.0, seed=steps)
+            x, labels = make_blobs(per_class, [0.0, 1.0], spread=2.0, seed=steps)
             y = np.where(np.array(labels) == "0", 1.0, -1.0)
             yield (f"max_steps={steps} {kernel}", kernel_matrix(x, x, kernel, 1.0),
                    y, 10.0, steps)
@@ -678,12 +680,20 @@ class TestSVM:
 
 
 def solve_in_lockstep(problems):
-    """Solve ``(name, K, y, c, max_steps)`` problems in one lockstep call;
-    a ``max_steps`` of None is the solver's own cap."""
+    """Solve ``(name, K, y, c, max_steps)`` problems in one lockstep call.
+
+    ``_step_cap`` is patched to give each size the ``max_steps`` of its
+    problems, which must agree; None is the solver's own cap.
+    """
+    caps = {y.size: max_steps for _, _, y, _, max_steps in problems}
+    assert all(caps[y.size] == max_steps for _, _, y, _, max_steps in problems)
+    step_cap = classify._step_cap
     kernels = [(y.size, lambda K=K: K) for _, K, y, _, _ in problems]
-    return classify._smo_lockstep(kernels, [
-        (u, y, c, classify._step_cap(y.size) if max_steps is None else max_steps)
-        for u, (_, _, y, c, max_steps) in enumerate(problems)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_step_cap",
+                      lambda n: step_cap(n) if caps[n] is None else caps[n])
+        return classify._smo_lockstep(kernels, [
+            (u, y, c) for u, (_, _, y, c, _) in enumerate(problems)])
 
 
 @pytest.fixture
@@ -721,7 +731,7 @@ class TestLockstep:
                     if p[0].startswith(("max_steps", "stuck", "all ", "rbf n=18",
                                         "linear n=10"))]
         got = solve_in_lockstep(problems)
-        assert block_sizes == [(len(problems), 24)]
+        assert block_sizes == [(len(problems), 34)]
         by_name = {p[0]: r for p, r in zip(problems, got)}
         for steps in (1, 3):
             for kernel in ("linear", "rbf", "poly"):
@@ -765,7 +775,7 @@ class TestLockstep:
         def peak(count):
             # Each kernel is built only when its block is solved.
             kernels = [(n, lambda: kernel_matrix(x, x, "rbf", 1.0 / 3))] * count
-            problems = [(u, y, 1.0, 10 * n * n) for u in range(count)]
+            problems = [(u, y, 1.0) for u in range(count)]
             tracemalloc.start()
             try:
                 classify._smo_lockstep(kernels, problems)
@@ -1062,7 +1072,7 @@ class TestNestedCVAgainstReference:
         # on 2 or 3 rows, so k = 3 is feasible only on the larger ones.
         ((KNNParams(3),), 2, "no grid point was feasible"),
         # Six inner folds fit only the 6-row outer training set.
-        ((KNNParams(1),), 6, "k=6 is invalid for 5 items"),
+        ((KNNParams(1),), 6, "cannot split 5 rows into 6 folds"),
     ], ids=["infeasible-search", "too-many-inner-folds"])
     def test_failed_outer_fold_raises_the_same_error(self, grid, inner_k,
                                                      message):

@@ -18,7 +18,7 @@ from conftest import (
 )
 from geostat import classify, cli, ingest, series
 from geostat.cli import main, parse_mask
-from geostat.features import FeatureMatrix, write_feature_csv
+from geostat.features import FeatureMatrix, read_feature_csv, write_feature_csv
 
 
 @pytest.fixture(scope="module")
@@ -165,11 +165,14 @@ class TestConfigChecks:
         ("evaluate", {"format": "csv"}, "unknown format 'csv'"),
         ("evaluate", [1, 2], "a config file holds a JSON object"),
         ("evaluate", {"window": [1]}, "unknown fields ['window']"),
+        ("extract", {"format": "ucr"}, "extract does not read fields ['format']"),
+        ("dtw", {"format": "ucr"}, "dtw does not read fields ['format']"),
     ], ids=["windows-int", "models-int", "models-str", "masks-str",
             "jobs-null", "min-samples-null", "folds-str", "folds-float",
             "repetitions-float", "seed-bool", "dataset-int", "band-str",
             "band-above-1", "smoothing-float", "window-zero", "seed-negative",
-            "folds-one", "format", "not-an-object", "unknown-field"])
+            "folds-one", "format", "not-an-object", "unknown-field",
+            "extract-format", "dtw-format"])
     def test_bad_config_is_error(self, tiny_dataset, tmp_path, capsys,
                                  command, config, message):
         if isinstance(config, dict):
@@ -193,10 +196,6 @@ class TestConfigChecks:
         (("evaluate", "--models", ""), "models must list at least one value"),
         (("extract", "--smoothings", ""),
          "smoothings must list at least one value"),
-        (("extract", "--format", "features"),
-         "extract does not support format 'features'"),
-        (("dtw", "--format", "features"),
-         "dtw does not support format 'features'"),
         (("evaluate", "--format", "vessel"),
          "evaluate does not support format 'vessel'"),
         (("ablate", "--format", "vessel", "--mask", "position"),
@@ -205,9 +204,8 @@ class TestConfigChecks:
          "windows does not support format 'vessel'"),
         (("nested", "--format", "ucr"), "nested does not support format 'ucr'"),
     ], ids=["models-twice", "windows-twice", "extract-cell-twice",
-            "mask-twice", "no-models", "no-smoothings", "extract-features",
-            "dtw-features", "evaluate-vessel", "ablate-vessel",
-            "windows-vessel", "nested-ucr"])
+            "mask-twice", "no-models", "no-smoothings", "evaluate-vessel",
+            "ablate-vessel", "windows-vessel", "nested-ucr"])
     def test_bad_flags_are_errors(self, tiny_dataset, tmp_path, capsys, argv,
                                   message):
         out = tmp_path / "out"
@@ -216,18 +214,22 @@ class TestConfigChecks:
         assert not out.exists()
 
 
-# Each command's flags, and a flag and a config field it does not read.
+# Each command's flags besides --config, --dataset and --out, and a flag
+# and a config field it does not read. Only a command that reads two input
+# formats offers --format.
 COMMAND_FLAGS = {
     "extract": ("--jobs", "--smoothings", "--windows", "--min-samples"),
     "dtw": ("--band",),
-    "evaluate": ("--seed", "--jobs", "--repetitions", "--smoothings",
-                 "--windows", "--models", "--min-samples", "--folds"),
-    "windows": ("--seed", "--jobs", "--repetitions", "--smoothings",
-                "--windows", "--models", "--min-samples", "--folds"),
-    "ablate": ("--seed", "--jobs", "--repetitions", "--smoothings",
+    "evaluate": ("--format", "--seed", "--jobs", "--repetitions",
+                 "--smoothings", "--windows", "--models", "--min-samples",
+                 "--folds"),
+    "windows": ("--format", "--seed", "--jobs", "--repetitions",
+                "--smoothings", "--windows", "--models", "--min-samples",
+                "--folds"),
+    "ablate": ("--format", "--seed", "--jobs", "--repetitions", "--smoothings",
                "--windows", "--models", "--min-samples", "--folds", "--mask"),
-    "nested": ("--seed", "--jobs", "--repetitions", "--models", "--folds",
-               "--class-map"),
+    "nested": ("--format", "--seed", "--jobs", "--repetitions", "--models",
+               "--folds", "--class-map"),
 }
 UNREAD = {
     "extract": (("--seed", "1"), {"folds": 3}),
@@ -248,14 +250,17 @@ class TestCommandFlags:
             run(command, "--help")
         assert stop.value.code == 0
         listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        assert listed == {"--help", "--config", "--dataset", "--format",
-                          "--out", *COMMAND_FLAGS[command]}
+        assert listed == {"--help", "--config", "--dataset", "--out",
+                          *COMMAND_FLAGS[command]}
 
-    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
-    def test_unread_flag_exits_2(self, command, tiny_dataset, tmp_path,
+    # extract and dtw read only ucr input, so they offer no --format.
+    @pytest.mark.parametrize("command, flag", [
+        *((command, UNREAD[command][0]) for command in COMMAND_FLAGS),
+        ("extract", ("--format", "features")), ("dtw", ("--format", "features")),
+    ], ids=[*COMMAND_FLAGS, "extract-features", "dtw-features"])
+    def test_unread_flag_exits_2(self, command, flag, tiny_dataset, tmp_path,
                                  capsys):
         out = tmp_path / "out"
-        flag, _ = UNREAD[command]
         with pytest.raises(SystemExit) as stop:
             run(command, "--dataset", tiny_dataset, "--out", out, *flag)
         assert stop.value.code == 2
@@ -316,6 +321,28 @@ class TestFeaturesInput:
                    "features", "--out", out, "--models", "knn", "--folds", "4",
                    "--seed", "5", *extra) == 0
         assert [row[:4] for row in read_rows(out / name)[1:]] == cells
+
+    def test_windows_keeps_the_files_window_labels(self, feature_pair_dir,
+                                                   tmp_path):
+        # The same columns with windows labelled 1 and 2 instead of 0 and 1.
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("train", "test"):
+            fm = read_feature_csv(feature_pair_dir / f"features_{split}.csv")
+            write_feature_csv(FeatureMatrix(
+                fm.rows, [(d, w + 1, s) for d, w, s in fm.column_labels],
+                fm.labels), data / f"features_{split}.csv")
+        flags = ("--format", "features", "--models", "knn", "--folds", "4",
+                 "--seed", "5")
+        assert run("windows", "--dataset", feature_pair_dir,
+                   "--out", tmp_path / "from-0", *flags) == 0
+        assert run("windows", "--dataset", data,
+                   "--out", tmp_path / "from-1", *flags) == 0
+        want = read_rows(tmp_path / "from-0" / "window_accuracy.csv")
+        got = read_rows(tmp_path / "from-1" / "window_accuracy.csv")
+        assert [row[3] for row in got[1:]] == ["1", "2"]
+        assert ([row[:3] + row[4:] for row in got]
+                == [row[:3] + row[4:] for row in want])
 
 
 class TestBadFeatureFiles:
@@ -576,6 +603,26 @@ def run_vessel_nested(root, lines, name="out"):
     return run("nested", "--dataset", data, "--format", "vessel",
                "--out", root / name, "--models", "knn", "--repetitions", "1",
                "--folds", "5", "--seed", "4")
+
+
+class TestFormatDefault:
+    def test_nested_reads_vessels_without_format(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "mixed.csv").write_text("\n".join(vessel_lines()) + "\n")
+        flags = ("--dataset", data, "--models", "knn", "--folds", "5",
+                 "--seed", "4")
+        assert run("nested", "--format", "vessel", "--out", tmp_path / "given",
+                   *flags) == 0
+        given = capsys.readouterr()
+        assert run("nested", "--out", tmp_path / "default", *flags) == 0
+        default = capsys.readouterr()
+        assert default.err == given.err
+        names = sorted(os.listdir(tmp_path / "given"))
+        assert names == sorted(os.listdir(tmp_path / "default"))
+        for name in names:
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "given" / name).read_bytes())
 
 
 class TestVesselRows:

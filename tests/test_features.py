@@ -10,6 +10,7 @@ import pytest
 from geostat import features
 from geostat.features import (
     UNIVARIATE_DISTRIBUTIONS,
+    UNIVARIATE_SUMMARY,
     AblationMask,
     FeatureMatrix,
     GeoStatConfig,
@@ -29,7 +30,7 @@ from conftest import reference_summarize
 from geostat.geometry import build_stack, univariate_signals
 from geostat.series import (TimeSeries, UniformSeries, equalize_lengths,
                             resample_uniform)
-from geostat.stats import MULTIVARIATE_QUANTILES, SummaryConfig, summarize
+from geostat.stats import SummaryConfig, summarize
 
 
 def sine_series(n=500, cycles=3.0):
@@ -71,8 +72,8 @@ def reference_row(us, cfg):
     values, labels = [], []
     for name in UNIVARIATE_DISTRIBUTIONS:
         for w, (a, b) in enumerate(window_bounds(us.n_samples, cfg.num_windows)):
-            values.extend(reference_summary(dists[name][a:b], cfg.summary))
-            labels.extend((name, w, s) for s in cfg.summary.statistic_names)
+            values.extend(reference_summary(dists[name][a:b], SummaryConfig()))
+            labels.extend((name, w, s) for s in SummaryConfig().statistic_names)
     return np.array(values), tuple(labels)
 
 
@@ -90,12 +91,6 @@ def mixed_collection():
                       + rng.normal(0, 0.1, n)) for n in (50, 80, 123)]
     out.extend(equalize_lengths(raw, min_samples=60))  # zero-padded tails
     return out
-
-
-def multivariate_cfg(num_windows=1, smoothing=1):
-    return GeoStatConfig(num_windows=num_windows,
-                         smoothing_iterations=smoothing,
-                         summary=SummaryConfig(quantiles=MULTIVARIATE_QUANTILES))
 
 
 class TestWindowBounds:
@@ -174,7 +169,7 @@ class TestExtractUnivariate:
         cfg = GeoStatConfig(num_windows=1)
         row, labels = extract_univariate(us, cfg)
         stack = build_stack(us, cfg.smoothing_iterations)
-        expected = summarize(stack.base.values[:, 0], cfg.summary)
+        expected = summarize(stack.base.values[:, 0], UNIVARIATE_SUMMARY)
         np.testing.assert_array_equal(row[:18], expected)
 
     def test_window_locality(self):
@@ -190,7 +185,7 @@ class TestExtractUnivariate:
             block = [v for v, (d, wi, s) in zip(row, labels)
                      if d == "velocity" and wi == w]
             np.testing.assert_array_equal(
-                block, summarize(velocity[a:b], cfg.summary))
+                block, summarize(velocity[a:b], UNIVARIATE_SUMMARY))
 
 
 class TestUnivariateMatrix:
@@ -227,9 +222,9 @@ class TestUnivariateMatrix:
         grid = features.univariate_grid
         calls = []
 
-        def counting_grid(values, step, class_labels, configs):
-            calls.append((values.shape, step, len(configs)))
-            return grid(values, step, class_labels, configs)
+        def counting_grid(values, step, class_labels, smoothing, windows):
+            calls.append((values.shape, step, smoothing, windows))
+            return grid(values, step, class_labels, smoothing, windows)
 
         monkeypatch.setattr(features, "univariate_grid", counting_grid)
         cfg = GeoStatConfig(num_windows=2)
@@ -237,14 +232,14 @@ class TestUnivariateMatrix:
         # The long group, over BLOCK_SAMPLES, takes three calls; each group
         # of the mixed collection fits in one.
         groups = collections.Counter((us.n_samples, us.step) for us in mixed)
-        assert calls == ([((100, per_block), 1.0, 1)] * 2
-                         + [((100, 10), 1.0, 1)]
-                         + [((n, count), step, 1)
+        assert calls == ([((100, per_block), 1.0, 1, [2])] * 2
+                         + [((100, 10), 1.0, 1, [2])]
+                         + [((n, count), step, 1, [2])
                             for (n, step), count in groups.items()])
         # Rows go back in input order.
         index = [i for i, us in enumerate(series) if us.n_samples == 100]
         direct = grid(np.column_stack([series[i].values[:, 0] for i in index]),
-                      1.0, [labels[i] for i in index], [cfg])[0]
+                      1.0, [labels[i] for i in index], 1, [2])[0]
         assert fm.rows[index].tobytes() == direct.rows.tobytes()
         assert fm.labels == tuple(labels)
 
@@ -280,10 +275,11 @@ def reference_matrix_rows(series, cfg):
     """Rows of :func:`univariate_matrix` as one grid cell at a time made
     them: signals per block and cell, every array freshly allocated."""
     n_dist = len(UNIVARIATE_DISTRIBUTIONS)
+    summary = SummaryConfig()
     groups = {}
     for i, us in enumerate(series):
         groups.setdefault((us.n_samples, us.step), []).append(i)
-    rows = np.empty((len(series), n_dist * cfg.num_windows * cfg.summary.size))
+    rows = np.empty((len(series), n_dist * cfg.num_windows * summary.size))
     for (n, step), members in groups.items():
         bounds = window_bounds(n, cfg.num_windows)
         per_block = max(1, features.BLOCK_SAMPLES // n)
@@ -294,7 +290,7 @@ def reference_matrix_rows(series, cfg):
             for out, signal in zip(signals, univariate_signals(
                     values, step, cfg.smoothing_iterations)):
                 out[...] = signal.T
-            out = np.empty((len(block), n_dist, len(bounds), cfg.summary.size))
+            out = np.empty((len(block), n_dist, len(bounds), summary.size))
             w = 0
             for size, same in itertools.groupby(b - a for a, b in bounds):
                 count = len(list(same))
@@ -302,7 +298,7 @@ def reference_matrix_rows(series, cfg):
                 part = signals[:, :, a:a + count * size].reshape(
                     n_dist, len(block), count, size)
                 out[:, :, w:w + count] = reference_summarize(
-                    part, cfg.summary).transpose(1, 0, 2, 3)
+                    part, summary).transpose(1, 0, 2, 3)
                 w += count
             rows[block] = out.reshape(len(block), -1)
     return rows
@@ -341,11 +337,12 @@ class TestUnivariateGrid:
         if block_series:
             monkeypatch.setattr(features, "BLOCK_SAMPLES", block_series * n)
         labels = [str(i % 3) for i in range(len(series))]
-        configs = [GeoStatConfig(num_windows=w, smoothing_iterations=smoothing)
-                   for w in (1, 2, 3, 4, 5, 6)]
+        windows = (1, 2, 3, 4, 5, 6)
         values = np.column_stack([us.values[:, 0] for us in series])
-        grid = univariate_grid(values, series[0].step, labels, configs)
-        for cfg, fm in zip(configs, grid):
+        grid = univariate_grid(values, series[0].step, labels, smoothing,
+                               windows)
+        for w, fm in zip(windows, grid, strict=True):
+            cfg = GeoStatConfig(num_windows=w, smoothing_iterations=smoothing)
             want = univariate_matrix(series, labels, cfg)
             assert fm.column_labels == want.column_labels
             assert fm.labels == want.labels
@@ -359,45 +356,32 @@ class TestUnivariateGrid:
             fm = univariate_matrix(series, ["a"] * len(series), cfg)
             assert fm.rows.tobytes() == reference_matrix_rows(series, cfg).tobytes()
 
-    def test_statistics_may_differ_between_configs(self):
-        series = grid_inputs("equal")
-        values = np.column_stack([us.values[:, 0] for us in series])
-        configs = [GeoStatConfig(num_windows=2),
-                   GeoStatConfig(num_windows=3, summary=SummaryConfig(
-                       quantiles=MULTIVARIATE_QUANTILES))]
-        grid = univariate_grid(values, 1.0, ["a"] * len(series), configs)
-        for cfg, fm in zip(configs, grid):
-            want = univariate_matrix(series, ["a"] * len(series), cfg)
-            assert fm.rows.tobytes() == want.rows.tobytes()
-
-    @pytest.mark.parametrize("values, step, labels, configs, message", [
-        (np.ones((10, 2)), 1.0, ["a"], [GeoStatConfig()], "counts differ"),
-        (np.ones((10, 0)), 1.0, [], [GeoStatConfig()], "empty collection"),
-        (np.ones(10), 1.0, ["a"], [GeoStatConfig()], "samples x series"),
-        (np.ones((10, 1)), 1.0, ["a"], [], "at least one config"),
-        (np.ones((10, 1)), 1.0, ["a"],
-         [GeoStatConfig(smoothing_iterations=0), GeoStatConfig()],
-         "share a smoothing"),
-        (np.ones((2, 1)), 1.0, ["a"], [GeoStatConfig()], "at least 3 samples"),
-        (np.ones((10, 1)), 0.0, ["a"], [GeoStatConfig()], "step must be positive"),
-        (np.ones((10, 1)), 1.0, ["a"], [GeoStatConfig(num_windows=4)],
-         "fewer than 3 per window"),
-    ], ids=["labels", "empty", "1-d", "no-config", "smoothings", "short",
-            "step", "windows"])
-    def test_rejects_bad_input(self, values, step, labels, configs, message):
+    @pytest.mark.parametrize("values, step, labels, smoothing, windows, message", [
+        (np.ones((10, 2)), 1.0, ["a"], 1, [1], "counts differ"),
+        (np.ones((10, 0)), 1.0, [], 1, [1], "empty collection"),
+        (np.ones(10), 1.0, ["a"], 1, [1], "samples x series"),
+        (np.ones((10, 1)), 1.0, ["a"], 1, [], "at least one window count"),
+        (np.ones((10, 1)), 1.0, ["a"], -1, [1], "must be non-negative"),
+        (np.ones((2, 1)), 1.0, ["a"], 1, [1], "at least 3 samples"),
+        (np.ones((10, 1)), 0.0, ["a"], 1, [1], "step must be positive"),
+        (np.ones((10, 1)), 1.0, ["a"], 1, [4], "fewer than 3 per window"),
+        (np.ones((10, 1)), 1.0, ["a"], 1, [0], "at least one window"),
+    ], ids=["labels", "empty", "1-d", "no-windows", "smoothings", "short",
+            "step", "windows", "zero-windows"])
+    def test_rejects_bad_input(self, values, step, labels, smoothing, windows,
+                               message):
         with pytest.raises(ValueError, match=message):
-            univariate_grid(values, step, labels, configs)
+            univariate_grid(values, step, labels, smoothing, windows)
 
     def test_peak_memory_does_not_grow_with_series_count(self):
         rng = np.random.default_rng(4)
-        configs = [GeoStatConfig(num_windows=w) for w in (1, 3)]
         per_block = features.BLOCK_SAMPLES // 100
 
         def transient_peak(n_series):
             values = rng.normal(size=(100, n_series))
             tracemalloc.start()
             try:
-                grid = univariate_grid(values, 1.0, ["a"] * n_series, configs)
+                grid = univariate_grid(values, 1.0, ["a"] * n_series, 1, (1, 3))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -410,7 +394,7 @@ class TestExtractMultivariate:
     def test_stationary_track(self):
         values = np.tile([10.0, 20.0], (60, 1))
         us = UniformSeries(0.0, 60.0, values)
-        row, labels = extract_multivariate(us, multivariate_cfg())
+        row, labels = extract_multivariate(us, GeoStatConfig())
         by_label = dict(zip(labels, row))
         assert by_label[("position", 0, "frechet_var")] == pytest.approx(0.0, abs=1e-12)
         assert by_label[("position", 0, "frechet_lat")] == pytest.approx(10.0)
@@ -422,7 +406,7 @@ class TestExtractMultivariate:
         t = np.linspace(0, 1, 400)
         values = np.column_stack([np.zeros_like(t), 10.0 * t])
         us = resample_uniform(TimeSeries(t, values), 400)
-        row, labels = extract_multivariate(us, multivariate_cfg())
+        row, labels = extract_multivariate(us, GeoStatConfig())
         by_label = dict(zip(labels, row))
         assert by_label[("speed", 0, "std")] == pytest.approx(0.0, abs=1e-6)
         assert by_label[("position", 0, "frechet_lat")] == pytest.approx(0.0, abs=1e-6)
@@ -430,7 +414,7 @@ class TestExtractMultivariate:
     def test_rejects_univariate(self):
         us = UniformSeries(0.0, 1.0, np.arange(10.0))
         with pytest.raises(ValueError):
-            extract_multivariate(us, multivariate_cfg())
+            extract_multivariate(us, GeoStatConfig())
 
 
 class TestZNormalize:

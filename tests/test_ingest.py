@@ -3,7 +3,6 @@ import pytest
 
 from conftest import make_track, write_ucr_dataset
 from geostat import ingest
-from geostat.features import GeoStatConfig
 from geostat.geometry import build_stack
 from geostat.ingest import (
     ACTIVE_SPEED_KNOTS,
@@ -38,10 +37,6 @@ from geostat.stats import (
     frechet_mean_variance,
     summarize,
 )
-
-
-def vessel_cfg():
-    return GeoStatConfig(summary=SummaryConfig(quantiles=MULTIVARIATE_QUANTILES))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def reference_window_means(segment):
         us_all.values[:, 2], us_all.values[:, 3])])
 
 
-def reference_feature_row(seg, cfg):
+def reference_feature_row(seg, summary):
     """The earlier per-track features: one ``summarize`` call per
     distribution of one track, zeros for an empty one."""
     means, _ = ingest._window_means(list(seg.active))
@@ -143,9 +138,9 @@ def reference_feature_row(seg, cfg):
                  seg.gap_durations)
     for samples in pooled + [np.array(d) for d in durations]:
         if samples.size:
-            values.extend(summarize(samples, cfg.summary).tolist())
+            values.extend(summarize(samples, summary).tolist())
         else:
-            values.extend([0.0] * cfg.summary.size)
+            values.extend([0.0] * summary.size)
     return np.array(values)
 
 
@@ -283,7 +278,6 @@ class TestArrayVesselPath:
         assert fm.column_labels == tuple(labels)
 
     def test_matrix_rows_match_per_track_summaries(self):
-        cfg = vessel_cfg()
         tracks = [random_track(seed) for seed in range(40)]
         tracks += [make_track([(12, 0.1)]),  # no active segment
                    make_track([(20, 5.0), (6, 0.1), (12, 3.0)],
@@ -294,7 +288,8 @@ class TestArrayVesselPath:
         assert window_means(segs[-1].active)[0].shape == (8, 1)
         fm = vessel_feature_matrix(tracks)
         for seg, row in zip(segs, fm.rows, strict=True):
-            assert np.array_equal(row, reference_feature_row(seg, cfg))
+            assert np.array_equal(row, reference_feature_row(
+                seg, SummaryConfig(quantiles=MULTIVARIATE_QUANTILES)))
 
     @pytest.mark.parametrize("t, speeds", [
         ([0.0, 5400.0, 5700.0, 6000.0, 6300.0, 6600.0], [5.0] * 6),
