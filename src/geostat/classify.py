@@ -560,6 +560,13 @@ def _training_data(points, labels):
     return pts, classes, codes
 
 
+def _two_classes(classes, codes) -> None:
+    """Raise before any fit when the training rows hold one class."""
+    if codes.size and (codes == codes[0]).all():
+        raise ValueError(f"every training row has class "
+                         f"{classes[codes[0]]!r}; need at least two classes")
+
+
 def _pair_kernel(points, members, kernel: str, gamma: float) -> np.ndarray:
     sub = points[members]
     return kernel_matrix(sub, sub, kernel, gamma)
@@ -882,13 +889,15 @@ def holdout_cv(train_points, train_labels, test_points, test_labels, grid,
     The grid search runs on ``k`` folds of the training rows, seeded by
     ``seed``. A test label that the training rows lack never wins a vote,
     so its rows count as wrong. Returns ``(accuracy, params, notes)``, the
-    notes being the refit's warnings.
+    notes being the refit's warnings. Training rows of one class raise
+    before any fit.
     """
     n_train = len(train_labels)
     if np.shape(train_points)[0] != n_train:
         raise ValueError("need one label per training row")
     pts, classes, codes = _training_data(np.vstack([train_points, test_points]),
                                          [*train_labels, *test_labels])
+    _two_classes(classes, codes[:n_train])
     splits = [(np.arange(n_train), np.arange(n_train, pts.shape[0]), k, seed)]
     ((params, accuracy, _, notes),) = _score_holdouts(pts, classes, codes,
                                                       splits, grid)
@@ -906,15 +915,23 @@ def nested_cv(points, labels, grid, outer_k: int = 10, inner_k: int = 10,
 
     The SVM problems of all outer folds' inner searches are solved in one
     lockstep call and their SVM refits in a second; results and errors are
-    those of running the folds one after another.
+    those of running the folds one after another. Rows of one class, and
+    an ``inner_k`` larger than outer fold 0's training set, raise before
+    any fit.
     """
     pts, classes, codes = _training_data(points, labels)
+    _two_classes(classes, codes)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     seeds = ss.spawn(outer_k + 1)
     folds = kfold_splits(codes, outer_k, seeds[0])
     # Training sets grow with the fold index, so an inner k too large for
-    # one fails on fold 0 first, as in a fold-by-fold loop.
+    # one is too large for fold 0's, as a fold-by-fold loop would find.
+    smallest = pts.shape[0] - folds[0].size
+    if inner_k > smallest:
+        raise ValueError(f"outer fold 0 leaves {smallest} training "
+                         f"row{'s' * (smallest != 1)}, fewer than {inner_k} "
+                         f"inner folds")
     scored = _score_holdouts(pts, classes, codes, [
         (np.delete(np.arange(pts.shape[0]), holdout), holdout, inner_k,
          seeds[f + 1]) for f, holdout in enumerate(folds)], grid)

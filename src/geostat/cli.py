@@ -432,8 +432,7 @@ def _run_nested(cfg: RunConfig, fm: FeatureMatrix, label_sets) -> None:
 
 def cmd_nested(cfg: RunConfig) -> int:
     if cfg.class_map:
-        with open(cfg.class_map) as fh:
-            class_map = json.load(fh)
+        class_map = _load_json(cfg.class_map)
     fm = _nested_feature_matrix(cfg)
     label_sets = [("", fm.labels)]
     if cfg.class_map:
@@ -621,6 +620,15 @@ def _command_parser(sub, name: str) -> None:
             p.add_argument(flag, dest=field_name, **kwargs)
 
 
+def _load_json(path):
+    """The JSON value a file holds; a syntax error names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The run's config: the command's first format, then the ``--config``
     file's fields, then the flags.
@@ -630,8 +638,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     read = SHARED_FIELDS + COMMANDS[args.command][2]
     file_values = {}
     if args.config:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        file_values = _load_json(args.config)
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: a config file holds a JSON object")
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}

@@ -6,10 +6,12 @@ the local cost, and a square root applied to the accumulated total. An
 optional diagonal band constrains how far the alignment may stray; widening
 the band can only decrease the distance.
 
-:func:`dtw_matrix` runs the program row by row for blocks of zero-padded
-(query, train) pairs, each cell vectorised across the pairs. Cells outside a
-pair's band cost ``inf`` and cells past its lengths never reach its result,
-so each reachable cell does the same float operations as for one pair.
+:func:`dtw_matrix` runs the program for blocks of zero-padded (query,
+train) pairs one anti-diagonal at a time: every cell of a diagonal depends
+only on the two diagonals before it, so each step fills one diagonal of
+every pair in the block at once. Cells outside a pair's band cost ``inf``
+and cells past its lengths never reach its result, so each reachable cell
+does the same float operations as for one pair.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 
 __all__ = ["DTWConfig", "dtw_distance", "dtw_matrix", "nn_dtw_classify"]
 
-# Pairs go in blocks that keep each (length x pairs) buffer under this many
-# entries, 2 MB of float64.
+# Pairs go in blocks of this many entries divided by the longest length + 1,
+# so each (length x pairs) buffer of a block holds about this many entries,
+# 2 MB of float64.
 DTW_BLOCK_ENTRIES = 1 << 18
 
 
@@ -59,27 +62,28 @@ def _pair_block(xs, zs, w) -> np.ndarray:
     for p, (a, b) in enumerate(zip(xs, zs)):
         x[:a.size, p], z[:b.size, p] = a, b
     reach = int(w.max())
-    # Row j + 1 holds cell j; row 0, j = -1, holds where every path starts.
-    prev = np.full((z.shape[0] + 1, z.shape[1]), np.inf)
-    prev[0] = 0.0
-    cur = np.full_like(prev, np.inf)
-    out = np.empty(z.shape[1])
-    for i in range(x.shape[0]):
-        lo, hi = max(0, i - reach), min(z.shape[0], i + reach + 1)
-        cost = (x[i] - z[lo:hi]) ** 2
-        cost[np.abs(i - np.arange(lo, hi))[:, None] > w] = np.inf
-        # The (i-1, j) and (i-1, j-1) candidates do not depend on this row.
-        up = np.minimum(prev[lo + 1:hi + 1], prev[lo:hi])
-        # The two buffers swap each row. Of the cells that this row and the
-        # next read, only rows lo and hi + 1 are not written below, so only
-        # they are cleared of the values of two rows before.
+    # One buffer per anti-diagonal i + j = d, three in rotation: row i + 1
+    # holds cell (i, d - i), and row 0 of diagonal -2 is where paths start.
+    older, old, cur = (np.full((x.shape[0] + 2, x.shape[1]), np.inf)
+                       for _ in range(3))
+    older[0] = 0.0
+    out = np.empty(x.shape[1])
+    for d in range(x.shape[0] + z.shape[0] - 1):
+        # Rows i = lo..hi lie inside both series and within reach.
+        lo = max(0, d - z.shape[0] + 1, (d - reach + 1) // 2)
+        hi = min(x.shape[0] - 1, d, (d + reach) // 2)
+        cost = (x[lo:hi + 1] - z[d - hi:d - lo + 1][::-1]) ** 2
+        cost[np.abs(2 * np.arange(lo, hi + 1) - d)[:, None] > w] = np.inf
+        # The next two diagonals read rows lo..hi + 2. Rows above hi + 1 hold
+        # inf, as hi never falls, so only row lo, not written here, is
+        # cleared of the value of three diagonals before.
         cur[lo] = np.inf
-        cur[hi + 1:hi + 2] = np.inf
-        for j in range(lo, hi):
-            cur[j + 1] = cost[j - lo] + np.minimum(up[j - lo], cur[j])
-        last = n == i + 1
-        out[last] = cur[m[last], last]
-        prev, cur = cur, prev
+        # Candidates (i-1, j), (i-1, j-1) and (i, j-1), in that order.
+        cur[lo + 1:hi + 2] = cost + np.minimum(
+            np.minimum(old[lo:hi + 1], older[lo:hi + 1]), old[lo + 1:hi + 2])
+        last = n + m - 2 == d
+        out[last] = cur[n[last], last]
+        older, old, cur = old, cur, older
     return np.sqrt(out)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
 import tempfile
@@ -262,15 +261,13 @@ def extract_multivariate(us: UniformSeries, cfg: GeoStatConfig):
 
 def _window_runs(n_samples: int, num_windows: int) -> list:
     """``(first window, count, first sample, size)`` of each run of
-    adjacent windows of one size; sizes differ by at most one."""
-    bounds = _check_window_sizes(n_samples, num_windows)
-    runs = []
-    w = 0
-    for size, same in itertools.groupby(b - a for a, b in bounds):
-        count = len(list(same))
-        runs.append((w, count, bounds[w][0], size))
-        w += count
-    return runs
+    adjacent windows of one size: first the ``n_samples % num_windows``
+    windows of ``n_samples // num_windows + 1`` samples, then the rest."""
+    _check_window_sizes(n_samples, num_windows)
+    size, extra = divmod(n_samples, num_windows)
+    runs = [(0, extra, 0, size + 1),
+            (extra, num_windows - extra, extra * (size + 1), size)]
+    return [run for run in runs if run[1]]
 
 
 def _column_labels(num_windows: int) -> tuple:

@@ -16,7 +16,7 @@ import csv
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -351,8 +351,8 @@ def segment_vessel(track: VesselTrack) -> SegmentSet:
     or inactive according to the speed reported at its left endpoint;
     maximal stretches of same-state intervals become segments, consecutive
     segments sharing their boundary sample; a run of one sample yields
-    nothing. Cuts and state edges are found by array scans, and only the
-    segments are visited one by one. Inactive segments contribute only their
+    nothing. Every segment of the track is found at once, from array scans
+    for cuts and state edges. Inactive segments contribute only their
     duration (last minus first timestamp); active segments with fewer than
     ``MIN_SEGMENT_POINTS`` moving samples are dropped, with their spans
     recorded separately so that spans, durations, gaps, and dropped spans
@@ -361,39 +361,28 @@ def segment_vessel(track: VesselTrack) -> SegmentSet:
     if track.n_samples < 2:
         return SegmentSet((), (), (), (), 0.0)
     dts = np.diff(track.timestamps)
-    cuts = np.flatnonzero(dts >= GAP_THRESHOLD_SECONDS)
-    run_starts = [0] + (cuts + 1).tolist()
-    run_ends = cuts.tolist() + [track.n_samples - 1]
-
-    active = []
-    inactive = []
-    dropped = []
-    for lo, hi in zip(run_starts, run_ends):
-        if hi <= lo:
-            continue  # single-sample run spans no time
-        states = track.speeds[lo:hi] >= ACTIVE_SPEED_KNOTS  # one per interval
-        edges = [lo, *(lo + 1 + np.flatnonzero(np.diff(states))).tolist(), hi]
-        for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):  # shared boundaries
-            span = float(track.timestamps[seg_hi] - track.timestamps[seg_lo])
-            if not states[seg_lo - lo]:
-                inactive.append(span)
-                continue
-            # The timestamp floor counts the samples actually in motion; the
-            # trailing shared boundary sample may already be below threshold.
-            moving = int(np.sum(
-                track.speeds[seg_lo:seg_hi + 1] >= ACTIVE_SPEED_KNOTS))
-            if moving < MIN_SEGMENT_POINTS:
-                dropped.append(span)
-            else:
-                sl = slice(seg_lo, seg_hi + 1)
-                active.append(ActiveSegment(
-                    timestamps=track.timestamps[sl],
-                    lats=track.lats[sl],
-                    lons=track.lons[sl],
-                    shore_distances=track.shore_distances[sl],
-                    port_distances=track.port_distances[sl]))
-    return SegmentSet(tuple(active), tuple(inactive), tuple(dts[cuts].tolist()),
-                      tuple(dropped), track.span)
+    cut = dts >= GAP_THRESHOLD_SECONDS
+    moving = track.speeds >= ACTIVE_SPEED_KNOTS
+    state = moving[:-1]  # one per interval, from its left sample
+    # Between two intervals, or at either end of the track, a segment may
+    # end and the next begin; an uncut interval opens (closes) a segment
+    # where such an edge lies before (after) it.
+    edge = np.concatenate(
+        ([True], cut[:-1] | cut[1:] | (state[:-1] != state[1:]), [True]))
+    lo = np.flatnonzero(~cut & edge[:-1])
+    hi = np.flatnonzero(~cut & edge[1:]) + 1  # segments share boundaries
+    spans = track.timestamps[hi] - track.timestamps[lo]
+    # The floor counts the samples actually in motion; the trailing shared
+    # boundary sample may already be below threshold.
+    counts = np.concatenate(([0], np.cumsum(moving)))
+    active = state[lo]
+    kept = active & (counts[hi + 1] - counts[lo] >= MIN_SEGMENT_POINTS)
+    names = [f.name for f in fields(ActiveSegment)]  # arrays of the track
+    segments = tuple(ActiveSegment(*(getattr(track, k)[a:b] for k in names))
+                     for a, b in zip(lo[kept], hi[kept] + 1))
+    return SegmentSet(segments, tuple(spans[~active].tolist()),
+                      tuple(dts[cut].tolist()),
+                      tuple(spans[active & ~kept].tolist()), track.span)
 
 
 def filter_labels(tracks) -> list:

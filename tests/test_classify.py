@@ -311,6 +311,9 @@ def reference_nested_cv(points, labels, grid, outer_k=10, inner_k=10, seed=0):
         train_mask = np.ones(pts.shape[0], dtype=bool)
         train_mask[holdout] = False
         train_idx = all_idx[train_mask]
+        if inner_k > train_idx.size:
+            raise ValueError(f"outer fold {f} leaves {train_idx.size} "
+                             f"training rows, fewer than {inner_k} inner folds")
         params, _ = grid_search_cv(pts[train_idx], labels[train_idx], grid,
                                    k=inner_k, seed=seeds[f + 1])
         model = fit_model(pts[train_idx], labels[train_idx], params)
@@ -1072,7 +1075,8 @@ class TestNestedCVAgainstReference:
         # on 2 or 3 rows, so k = 3 is feasible only on the larger ones.
         ((KNNParams(3),), 2, "no grid point was feasible"),
         # Six inner folds fit only the 6-row outer training set.
-        ((KNNParams(1),), 6, "cannot split 5 rows into 6 folds"),
+        ((KNNParams(1),), 6,
+         "outer fold 0 leaves 5 training rows, fewer than 6 inner folds"),
     ], ids=["infeasible-search", "too-many-inner-folds"])
     def test_failed_outer_fold_raises_the_same_error(self, grid, inner_k,
                                                      message):
@@ -1092,6 +1096,36 @@ def split_problem(rng, x, y):
     test[:2] = [False, True]
     y = np.array(y, dtype=object)
     return x[~test], list(y[~test]), x[test], list(y[test])
+
+
+class TestTrainingRowsChecked:
+    """Inputs no fold can train on raise before any search or refit."""
+
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        for name in ("_search_many", "_predict_splits"):
+            monkeypatch.setattr(classify, name,
+                                lambda *a: pytest.fail("a fit started"))
+
+    @GRIDS
+    def test_one_class_is_error(self, grid):
+        x, _ = make_blobs(6, [0.0, 1.0], seed=2)
+        labels = ["a"] * len(x)
+        message = "every training row has class 'a'; need at least two classes"
+        assert raised(nested_cv, x, labels, grid, 3, 3, 0) == message
+        assert raised(holdout_cv, x[:8], labels[:8], x[8:],
+                      ["a", "b", "b", "c"], grid, 3, 0) == message
+
+    @pytest.mark.parametrize("rows, folds, message", [
+        (3, 2, "outer fold 0 leaves 1 training row, fewer than 2 inner folds"),
+        (4, 3, "outer fold 0 leaves 2 training rows, fewer than 3 inner "
+               "folds")], ids=["one-row", "two-rows"])
+    @pytest.mark.filterwarnings("ignore:smallest class")
+    def test_inner_folds_beyond_outer_fold_0_is_error(self, rows, folds,
+                                                      message):
+        x, y = make_blobs(2, [0.0, 1.0], seed=2)
+        assert raised(nested_cv, x[:rows], y[:rows], default_knn_grid(),
+                      folds, folds, 0) == message
 
 
 class TestHoldoutCVAgainstReference:

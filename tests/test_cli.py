@@ -113,8 +113,10 @@ class TestEvaluate:
     def test_no_feasible_point_names_the_reason(self, tmp_path, capsys):
         train_s, _ = sine_chirp_dataset(4, length=40, noise=0.02, seed=1)
         test_s, test_y = sine_chirp_dataset(2, length=40, noise=0.02, seed=2)
+        # The inner fold that holds the one "b" row trains on "a" alone.
         data = write_ucr_dataset(tmp_path, "Tiny",
-                                 ucr_rows_from_dataset(train_s, ["a"] * 8),
+                                 ucr_rows_from_dataset(train_s,
+                                                       ["a"] * 7 + ["b"]),
                                  ucr_rows_from_dataset(test_s, test_y))
         out = tmp_path / "out"
         assert run("evaluate", "--dataset", data, "--out", out,
@@ -184,6 +186,18 @@ class TestConfigChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_syntax_error_names_the_file(self, tiny_dataset, tmp_path,
+                                                capsys):
+        path = tmp_path / "run.json"
+        path.write_text("{\n")
+        out = tmp_path / "out"
+        assert run("evaluate", "--dataset", tiny_dataset, "--config", path,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: Expecting property name enclosed in double "
+            f"quotes: line 2 column 1 (char 2)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -558,6 +572,38 @@ class TestNested:
                    "--out", out, "--models", "knn", "--folds", "5",
                    "--class-map", class_map) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_class_map_syntax_error_names_the_file(self, feature_dir,
+                                                   tmp_path, capsys):
+        class_map = tmp_path / "map.json"
+        class_map.write_text("{\n")
+        out = tmp_path / "out"
+        assert run("nested", "--dataset", feature_dir, "--format", "features",
+                   "--out", out, "--models", "knn", "--folds", "5",
+                   "--class-map", class_map) == 1
+        assert capsys.readouterr().err == (
+            f"error: {class_map}: Expecting property name enclosed in double "
+            f"quotes: line 2 column 1 (char 2)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, names", [
+        ("nested", ("features.csv",)),
+        ("evaluate", ("features_train.csv", "features_test.csv"))])
+    def test_one_class_is_error(self, tmp_path, capsys, command, names):
+        x, _ = make_blobs(6, [0.0, 3.0], seed=3)
+        cols = tuple(("position", 0, f"s{i}") for i in range(x.shape[1]))
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in names:
+            write_feature_csv(FeatureMatrix(x, cols, ["a"] * len(x)),
+                              data / name)
+        out = tmp_path / "out"
+        assert run(command, "--dataset", data, "--format", "features",
+                   "--out", out, "--models", "knn", "--folds", "3") == 1
+        assert capsys.readouterr().err == (
+            "error: every training row has class 'a'; need at least two "
+            "classes\n")
         assert not out.exists()
 
     def test_class_map_to_one_class_is_error(self, feature_dir, tmp_path,

@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geostat import dtw
@@ -83,6 +84,33 @@ class TestDTWMatrix:
         blocked = dtw_matrix(queries, train, DTWConfig(band))
         assert np.array_equal(whole, want)
         assert np.array_equal(blocked, want)
+
+    @given(st.sampled_from([None, 0.0, 0.1, 0.5, 1.0]), st.integers(1, 5),
+           st.sampled_from([0, 2, 40]), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_random_blocks_equal_reference(self, band, pairs_per_block,
+                                           spread, seed):
+        # Lengths 1-40 within ``spread`` of one base, so that narrow bands
+        # still connect some pairs; blocks of 1-5 pairs mix lengths.
+        rng = np.random.default_rng(seed)
+        base = int(rng.integers(1, 41))
+
+        def draw(most):
+            return [np.cumsum(rng.normal(size=int(np.clip(
+                base + rng.integers(-spread, spread + 1), 1, 40))))
+                for _ in range(int(rng.integers(1, most + 1)))]
+
+        queries, train = draw(3), draw(5)
+        want = np.array([[per_cell_reference(q, t, band) for t in train]
+                         for q in queries])
+        feasible = np.isfinite(want).all(axis=0)
+        assume(feasible.any())
+        train = [t for t, ok in zip(train, feasible) if ok]
+        longest = max(s.size for s in queries + train)
+        with mock.patch.object(dtw, "DTW_BLOCK_ENTRIES",
+                               pairs_per_block * (longest + 1)):
+            got = dtw_matrix(queries, train, DTWConfig(band))
+        assert np.array_equal(got, want[:, feasible])
 
     def test_one_infeasible_pair_rejects_the_matrix(self):
         with pytest.raises(ValueError, match="half-width 2 .* lengths 2 and 20"):

@@ -110,6 +110,18 @@ class TestWindowBounds:
             assert max(sizes) - min(sizes) <= 1
             assert sum(sizes) == n
 
+    def test_runs_equal_grouped_window_sizes(self):
+        for n in range(3, 301):
+            for w in range(1, n // 3 + 1):  # every count of 3+ samples each
+                bounds = window_bounds(n, w)
+                want = []
+                first = 0
+                for size, same in itertools.groupby(b - a for a, b in bounds):
+                    count = len(list(same))
+                    want.append((first, count, bounds[first][0], size))
+                    first += count
+                assert features._window_runs(n, w) == want, (n, w)
+
 
 class TestExtractUnivariate:
     def test_row_length_one_window(self):

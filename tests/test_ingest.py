@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_track, write_ucr_dataset
 from geostat import ingest
@@ -290,6 +292,19 @@ class TestArrayVesselPath:
         for seg, row in zip(segs, fm.rows, strict=True):
             assert np.array_equal(row, reference_feature_row(
                 seg, SummaryConfig(quantiles=MULTIVARIATE_QUANTILES)))
+
+    # Steps at and either side of the gap threshold, repeated timestamps,
+    # and speeds at and either side of the activity threshold.
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, 300.0, 5399.0, 5400.0, 5401.0, 9000.0]),
+        st.sampled_from([0.0, 0.39, 0.4, 0.41, 5.0])), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_random_tracks_equal_loop_reference(self, steps):
+        dts, speeds = zip(*steps)
+        t = 1.6e9 + np.cumsum((0.0, *dts[1:]))
+        track = track_from(t, speeds)
+        assert_same_segments(segment_vessel(track),
+                             reference_segment_vessel(track))
 
     @pytest.mark.parametrize("t, speeds", [
         ([0.0, 5400.0, 5700.0, 6000.0, 6300.0, 6600.0], [5.0] * 6),
