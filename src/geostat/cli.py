@@ -26,7 +26,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -116,16 +115,13 @@ def _fmt(x) -> str:
 def _write_csv(path, header, rows) -> None:
     """Write rows atomically so failures never leave partial result files."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    features.write_atomically(path, write)
 
 
 def _print_notes(where: str, notes) -> None:
@@ -217,12 +213,15 @@ def _extract_cell(args):
 
 
 def _extract_grid(cfg: RunConfig):
-    """Feature matrices for every grid cell, keyed by (windows, smoothings)."""
+    """Feature matrices for every grid cell, keyed by (windows, smoothings).
+
+    Featurizing runs in the command's own process: a pool would cost more
+    to start and to ship the matrices back than it saves.
+    """
     splits = _load_uniform_splits(cfg)
-    tasks = [(*splits, s, cfg.windows) for s in cfg.smoothings]
-    results = _run_tasks(_extract_cell, tasks, cfg.jobs)
-    return {(w, s): pair for s, cell_pairs in zip(cfg.smoothings, results)
-            for w, pair in zip(cfg.windows, cell_pairs)}
+    return {(w, s): pair for s in cfg.smoothings
+            for w, pair in zip(cfg.windows,
+                               _extract_cell((*splits, s, cfg.windows)))}
 
 
 def _read_features(path) -> FeatureMatrix:
@@ -278,15 +277,21 @@ def _feature_grid(cfg: RunConfig):
 # extract
 # ---------------------------------------------------------------------------
 
+def _write_task(args):
+    """Write one feature file: ``args`` is ``(matrix, path)``."""
+    features.write_feature_csv(*args)
+
+
 def cmd_extract(cfg: RunConfig) -> int:
     grid = _extract_grid(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    for (w, s), (train_fm, test_fm) in grid.items():
-        features.write_feature_csv(
-            train_fm, os.path.join(cfg.out, f"features_train_{w}W_{s}S.csv"))
-        features.write_feature_csv(
-            test_fm, os.path.join(cfg.out, f"features_test_{w}W_{s}S.csv"))
-    print(f"wrote {2 * len(grid)} feature files to {cfg.out}")
+    # Writing the files costs more than featurizing them: it is the stage
+    # that --jobs spreads.
+    tasks = [(fm, os.path.join(cfg.out, f"features_{split}_{w}W_{s}S.csv"))
+             for (w, s), pair in grid.items()
+             for split, fm in zip(("train", "test"), pair)]
+    _run_tasks(_write_task, tasks, cfg.jobs)
+    print(f"wrote {len(tasks)} feature files to {cfg.out}")
     return 0
 
 

@@ -62,6 +62,7 @@ __all__ = [
     "select_columns",
     "write_feature_csv",
     "read_feature_csv",
+    "write_atomically",
 ]
 
 UNIVARIATE_DISTRIBUTIONS = (
@@ -470,16 +471,26 @@ def write_feature_csv(fm: FeatureMatrix, path) -> None:
 
     Values are written as ``repr`` of the float, which round-trips exactly.
     """
-    path = os.fspath(path)
     header = [f"{d}.{w}.{s}" for d, w, s in fm.column_labels] + ["label"]
     ends = _row_ends(fm.labels, fm.n_columns)
+
+    def write(fh):
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        # Row by row, so only one row is held as Python floats.
+        fh.writelines(",".join(map(repr, row.tolist())) + ends[label]
+                      for row, label in zip(fm.rows, fm.labels))
+
+    write_atomically(path, write)
+
+
+def write_atomically(path, write) -> None:
+    """Call ``write(fh)`` on a UTF-8 text file beside ``path``, then move it
+    to ``path``, so a failure never leaves a partial file there."""
+    path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            # Row by row, so only one row is held as Python floats.
-            fh.writelines(",".join(map(repr, row.tolist())) + ends[label]
-                          for row, label in zip(fm.rows, fm.labels))
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -502,7 +513,7 @@ def read_feature_csv(path) -> FeatureMatrix:
     column that repeats an earlier one, a row whose field count differs
     from the header's, and a value that is not a finite number.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -119,7 +119,7 @@ def parse_ucr_file(path):
     path = os.fspath(path)
     labels = []
     series = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
         if not first.strip():
             raise ValueError(f"{path}:1: empty file")
@@ -298,7 +298,7 @@ def _load_vessel_file(path: Path) -> list:
     numeric = ("timestamp", "lat", "lon", "speed", "shore", "port")
     default_label = path.stem
     rows = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -494,11 +494,12 @@ class TestJobs:
                     == (tmp_path / "2" / name).read_bytes())
 
     @pytest.mark.parametrize("command, pools", [
-        ("evaluate", 2), ("ablate", 2), ("windows", 2),
+        ("evaluate", 1), ("ablate", 1), ("windows", 1),
         ("nested-class-map", 1), ("extract", 1)])
     def test_one_pool_per_stage(self, tiny_dataset, feature_dir, tmp_path,
                                 monkeypatch, command, pools):
-        # One pool featurizes the two smoothings, one runs every model fit.
+        # The two smoothings are featurized in-process; one pool runs every
+        # model fit, or every file write of extract.
         sizes = []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -518,13 +519,12 @@ class TestJobs:
         assert set(sizes) == {2}
 
     @pytest.mark.parametrize("command, sizes", [
-        ("evaluate", [4]), ("nested", [2]), ("extract", [3]),
-        ("evaluate-smoothings", [2, 8])])
+        ("evaluate", [4]), ("nested", [2]), ("extract", [8]),
+        ("evaluate-smoothings", [8])])
     def test_no_more_workers_than_tasks(self, tiny_dataset, feature_dir,
                                         tmp_path, monkeypatch, command, sizes):
-        # A featurization task per smoothing (one smoothing runs
-        # in-process), then a fit per cell and model: evaluate has 2 cells
-        # of 1 smoothing, evaluate-smoothings 4 cells of 2.
+        # A fit per cell and model: evaluate has 2 cells of 1 smoothing,
+        # evaluate-smoothings 4 cells of 2. extract writes 18 files.
         recorded = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             functools.partial(RecordingPool, recorded))
@@ -533,6 +533,29 @@ class TestJobs:
             flags += ("--models", "knn,svm")
         assert run(*flags, "--jobs", 8, "--out", tmp_path / "out") == 0
         assert recorded == sizes
+
+    @pytest.mark.parametrize("command, worker", [
+        ("extract", "_write_task"), ("evaluate", "_evaluate_task"),
+        ("ablate", "_evaluate_task"), ("windows", "_evaluate_task"),
+        ("nested", "_nested_task"), ("nested-class-map", "_nested_task")])
+    def test_pool_tasks_never_featurize(self, tiny_dataset, feature_dir,
+                                        tmp_path, monkeypatch, command,
+                                        worker):
+        # Each command hands one kind of task to the pool, and featurizing
+        # is never one of them.
+        recorded = []
+        run_tasks = cli._run_tasks
+
+        def recording(worker, tasks, jobs):
+            recorded.append(worker.__name__)
+            return run_tasks(worker, tasks, jobs)
+
+        monkeypatch.setattr(cli, "_run_tasks", recording)
+        flags = command_flags(command, tiny_dataset, feature_dir, tmp_path)
+        if not command.startswith("nested"):
+            flags += ("--smoothings", "1,2")
+        assert run(*flags, "--out", tmp_path / "out") == 0
+        assert recorded == [worker]
 
 
 class TestNested:

@@ -2,6 +2,9 @@ import collections
 import csv
 import io
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -587,3 +590,43 @@ class TestCsvRoundtrip:
         write_feature_csv(fm, p1)
         write_feature_csv(fm, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        fm = univariate_matrix([sine_series(), sine_series(400)],
+                               ["a", "b"], GeoStatConfig(num_windows=2))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_feature_csv(fm, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, want = read_feature_csv(marked), read_feature_csv(plain)
+        assert got.column_labels == want.column_labels == fm.column_labels
+        assert got.labels == want.labels
+        assert got.rows.tobytes() == want.rows.tobytes()
+
+
+class TestWriteAtomically:
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def write(fh):
+            fh.write("new\n")
+            raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError):
+            features.write_atomically(path, write)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # Inputs are read as UTF-8, so a label read from one must be
+        # written as UTF-8 also where the locale's encoding is ASCII.
+        path = tmp_path / "out.csv"
+        code = ("import sys; from geostat import features; "
+                "features.write_atomically(sys.argv[1], "
+                "lambda fh: fh.write('caf\\u00e9\\n'))")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(
+                   features.__file__))}
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                       check=True, timeout=60)
+        assert path.read_bytes() == "café\n".encode("utf-8")

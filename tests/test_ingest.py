@@ -403,6 +403,17 @@ class TestParseUCR:
         _, series = parse_ucr_file(path)
         assert [len(s) for s in series] == [2, 4]
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "1\t0.0\t1.0\n2\t2.0\t3.0\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (labels, series), (want_labels, want_series) = (
+            parse_ucr_file(marked), parse_ucr_file(plain))
+        assert labels == want_labels == ["1", "2"]
+        for got, want in zip(series, want_series):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestLoadUCR:
     def test_loads_directory(self, tmp_path):
@@ -584,6 +595,28 @@ class TestLoadVessels:
         tracks = load_vessels(path)
         assert [t.vessel_id for t in tracks] == ["7", "8"]
         assert tracks[0].n_samples == 2
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # Read with the mark, the header's first name would not be "mmsi",
+        # and every row would take the file's stem as its vessel id.
+        text = (
+            "mmsi,timestamp,lat,lon,speed,distance_from_shore,distance_from_port,label\n"
+            "7,0,10.0,20.0,5.0,100,200,trawlers\n"
+            "7,300,10.1,20.1,5.0,100,200,trawlers\n"
+            "8,0,30.0,40.0,0.1,50,60,reefers\n")
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "marked").mkdir()
+        (tmp_path / "plain" / "x.csv").write_text(text)
+        (tmp_path / "marked" / "x.csv").write_bytes(
+            b"\xef\xbb\xbf" + text.encode())
+        want = load_vessels(tmp_path / "plain")
+        got = load_vessels(tmp_path / "marked")
+        assert [(t.vessel_id, t.label) for t in got] == [
+            (t.vessel_id, t.label) for t in want] == [
+            ("7", "trawlers"), ("8", "reefers")]
+        for a, b in zip(got, want):
+            for name in ("timestamps", "lats", "lons", "speeds"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_label_falls_back_to_file_stem(self, tmp_path):
         path = tmp_path / "purse_seines.csv"
