@@ -379,14 +379,23 @@ def z_normalize(train: FeatureMatrix, others=()):
     Raises
     ------
     ValueError
-        If a held-out matrix has a different column schema.
+        If a held-out matrix has a different column schema, or if a
+        column's training mean or standard deviation is not finite (its
+        values are too large: the sums overflow).
     """
     others = list(others)
     for fm in others:
         if fm.column_labels != train.column_labels:
             raise ValueError("column schema mismatch between matrices")
-    means = train.rows.mean(axis=0)
-    stds = train.rows.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = train.rows.mean(axis=0)
+        stds = train.rows.std(axis=0)
+    finite = np.isfinite(means) & np.isfinite(stds)
+    if not finite.all():
+        d, w, s = train.column_labels[int(np.argmin(finite))]
+        raise ValueError(f"column '{d}.{w}.{s}': its training mean or "
+                         f"standard deviation is not finite; its values are "
+                         f"too large to standardize")
     safe = np.where(stds > 0, stds, 1.0)
 
     def transform(fm: FeatureMatrix) -> FeatureMatrix:
@@ -469,16 +478,25 @@ def write_feature_csv(fm: FeatureMatrix, path) -> None:
     """Serialize to CSV: one ``distribution.window.statistic`` header per
     column plus a trailing ``label`` column. Written atomically.
 
-    Values are written as ``repr`` of the float, which round-trips exactly.
+    The file's bytes are those ``csv.writer`` writes for the rows
+    ``[repr(v) for v in row] + [label]``, so every value round-trips
+    exactly. Values are formatted in blocks with numpy, and those the
+    formatter cannot certify take ``repr`` itself: |v| below 1e-4 or from
+    1e16 on (exponent notation), 0, powers of two, nan, inf, values whose
+    shortest digits are decided within 2**-7 of a rounding boundary, and
+    every value where ``longdouble`` has fewer than 63 significand bits
+    (see ``geostat._floatrepr``).
     """
+    # Imported here, so that commands that write no feature file skip it.
+    from ._floatrepr import repr_rows
+
     header = [f"{d}.{w}.{s}" for d, w, s in fm.column_labels] + ["label"]
     ends = _row_ends(fm.labels, fm.n_columns)
 
     def write(fh):
         csv.writer(fh, lineterminator="\n").writerow(header)
-        # Row by row, so only one row is held as Python floats.
-        fh.writelines(",".join(map(repr, row.tolist())) + ends[label]
-                      for row, label in zip(fm.rows, fm.labels))
+        fh.writelines(text + ends[label]
+                      for text, label in zip(repr_rows(fm.rows), fm.labels))
 
     write_atomically(path, write)
 

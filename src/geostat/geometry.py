@@ -63,8 +63,13 @@ def speed(first_deriv: np.ndarray) -> np.ndarray:
 
 
 def _planar_curvature(xd: np.ndarray, xdd: np.ndarray) -> np.ndarray:
-    """Signed curvature ``x'' / (1 + x'^2)^(3/2)`` of univariate samples."""
-    return xdd / (1.0 + xd**2) ** 1.5
+    """Signed curvature ``x'' / (1 + x'^2)^(3/2)`` of univariate samples.
+
+    For slopes beyond about 1e154, ``x'^2`` overflows and the curvature is
+    0, the formula's limit, so the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return xdd / (1.0 + xd**2) ** 1.5
 
 
 def _turn_rate(xd: np.ndarray, step, first=0, last=-1) -> np.ndarray:

@@ -71,6 +71,21 @@ class TestExtract:
         name = "features_train_2W_1S.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    # Slopes beyond about 1e154 overflow in the curvature, which must stay
+    # silent: the summaries reject these series with one error line.
+    @pytest.mark.filterwarnings("error")
+    def test_huge_series_is_one_error_line(self, tmp_path, capsys):
+        rows = [(str(k % 2), [1e300, -1e300] * 10) for k in range(4)]
+        dataset = write_ucr_dataset(tmp_path / "Huge", "Huge", rows, rows)
+        out = tmp_path / "out"
+        assert run("extract", "--dataset", dataset, "--out", out,
+                   "--windows", "1", "--smoothings", "0",
+                   "--min-samples", "20") == 1
+        assert capsys.readouterr().err == (
+            "error: samples are too large to summarize: their variance "
+            "overflows\n")
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_separable_data_perfect_and_deterministic(self, tiny_dataset,
@@ -399,6 +414,29 @@ class TestBadFeatureFiles:
                    "--out", out, "--models", "knn") == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {data / name}{where}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [
+        ("evaluate", "features_train.csv"), ("nested", "features.csv")])
+    @pytest.mark.filterwarnings("error")
+    def test_values_too_large_to_standardize(self, tmp_path, capsys, command,
+                                             name):
+        data = tmp_path / "data"
+        data.mkdir()
+        content = "position.0.mean,position.0.std,label\n" + "".join(
+            f"{v!r},{k / 4},{k % 2}\n"
+            for k, v in enumerate([1.7e308, 1.6e308, -1e308, 1.5e308] * 2))
+        for file_name in (name, "features_test.csv"):
+            (data / file_name).write_text(content)
+        out = tmp_path / "out"
+        assert run(command, "--dataset", data, "--format", "features",
+                   "--out", out, "--folds", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: column 'position.0.mean': its training mean or standard "
+            "deviation is not finite; its values are too large to "
+            "standardize\n")
         assert captured.out == ""
         assert not out.exists()
 

@@ -9,8 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from geostat import features
+from geostat import _floatrepr, features
 from geostat.features import (
     UNIVARIATE_DISTRIBUTIONS,
     UNIVARIATE_SUMMARY,
@@ -479,6 +482,17 @@ class TestZNormalize:
         with pytest.raises(ValueError):
             z_normalize(train, [other])
 
+    @pytest.mark.parametrize("column", [[1.7e308, 1.6e308, 1.5e308],
+                                        [1.7e308, -1.7e308, 1.7e308]],
+                             ids=["mean", "std"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_column_is_named(self, column):
+        fm = self.make_matrix(np.column_stack([[1.0, 2.0, 3.0], column]))
+        with pytest.raises(ValueError, match="^column 'position.0.s1': its "
+                                             "training mean or standard "
+                                             "deviation is not finite"):
+            z_normalize(fm)
+
     def test_idempotent_on_normalized_data(self):
         rng = np.random.default_rng(1)
         fm = self.make_matrix(rng.normal(size=(30, 4)))
@@ -555,6 +569,47 @@ class TestSingleWindow:
             window_columns(fm, 3)
 
 
+def repr_edge_values():
+    """Floats at the edges of ``repr``'s formats and of the array
+    formatter's certified range: 126 values."""
+    midpoints = np.array([float(f"{d}5e{e}") for d, e in [
+        (12345678901234567, -20), (98765432109876543, -17),
+        (10000000000000000, -16), (31415926535897932, -10),
+        (27182818284590452, -1), (99999999999999999, -1),
+        (11111111111111111, -2), (50000000000000001, -4)]])
+    return np.concatenate([
+        [1e-5, 1.5e-5, 1e-4, np.nextafter(1e-4, 0), 9.999999999999999e15,
+         9999999999999998.0, 1e16, 1e22, 123456789012345.6, 0.1, 0.3, 2 / 3,
+         1e15 + 0.5],
+        [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1e-310, 0.0, -0.0],
+        2.0 ** np.arange(-20, 60, 7), -(2.0 ** np.arange(-3, 4)),
+        midpoints, np.nextafter(midpoints, np.inf),
+        np.nextafter(midpoints, -np.inf), -midpoints,
+        10.0 ** np.arange(-5, 18), np.nextafter(10.0 ** np.arange(-5, 18), 0),
+        [np.nan, np.inf, -np.inf],
+        # t = |x| * 10**s, rounded to 64 bits, lands on the wrong side of
+        # a tie between two integers, then between two multiples of 10.
+        [0.25630906325560743, 0.011455496278731339, 30391.602248450152,
+         0.30419552571291403, 0.000927290113425623, 82421.56934384951],
+    ])
+
+
+def repr_sample_values(seed):
+    """Random floats of every decimal magnitude and digit count of fixed
+    notation, and a margin on both sides: 30,000 values."""
+    rng = np.random.default_rng(seed)
+    scaled = (rng.uniform(1, 10, 20000)
+              * 10.0 ** rng.integers(-6, 18, 20000)
+              * rng.choice([-1.0, 1.0], 20000))
+    digits = rng.integers(1, 18, 10000)
+    decimals = np.array([
+        float(f"{rng.integers(10 ** (k - 1), 10 ** k)}e{e}")
+        for k, e in zip(digits.tolist(),
+                        (rng.integers(-5, 17, 10000) - digits).tolist())])
+    return np.concatenate([scaled, decimals])
+
+
 class TestCsvRoundtrip:
     def test_roundtrip(self, tmp_path):
         fm = univariate_matrix([sine_series(), sine_series(400)],
@@ -566,10 +621,13 @@ class TestCsvRoundtrip:
         assert back.column_labels == fm.column_labels
         assert back.labels == fm.labels
 
-    @pytest.mark.parametrize("n_columns", [0, 3])
-    def test_bytes_match_csv_writer(self, tmp_path, n_columns):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=(6, n_columns)) * [1e-300, 1.0, 1e300][:n_columns]
+    @pytest.mark.parametrize("values", [
+        np.empty((6, 0)),
+        np.random.default_rng(4).normal(size=(6, 3)) * [1e-300, 1.0, 1e300],
+        repr_edge_values().reshape(6, -1),
+    ], ids=["0", "3", "edges"])
+    def test_bytes_match_csv_writer(self, tmp_path, values):
+        n_columns = values.shape[1]
         labels = ["a,b", 'say "hi"', "", "plain", "x\ny", "a,b"]
         cols = tuple(("position", 0, f"q{i}") for i in range(n_columns))
         fm = FeatureMatrix(values, cols, labels)
@@ -581,8 +639,41 @@ class TestCsvRoundtrip:
         for row, label in zip(values, labels):
             writer.writerow([repr(float(v)) for v in row] + [label])
         assert path.read_bytes() == buf.getvalue().encode()
-        back = read_feature_csv(path)
-        assert back.labels == tuple(labels)
+        if np.isfinite(values).all():  # the reader rejects nan and inf
+            back = read_feature_csv(path)
+            assert back.labels == tuple(labels)
+            assert back.rows.tobytes() == values.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4),
+                                            st.integers(0, 40)),
+                      elements=st.floats() | st.floats(-1e16, 1e16)))
+    def test_rows_match_repr(self, values):
+        assert list(_floatrepr.repr_rows(values)) == [
+            ",".join(map(repr, row)) for row in values.tolist()]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_repr_on_sample(self, seed):
+        values = repr_sample_values(seed).reshape(-1, 300)
+        assert list(_floatrepr.repr_rows(values)) == [
+            ",".join(map(repr, row)) for row in values.tolist()]
+
+    def test_narrow_longdouble_takes_repr_for_every_value(self, tmp_path,
+                                                          monkeypatch):
+        fm = univariate_matrix([sine_series(), sine_series(400)],
+                               ["a", "b"], GeoStatConfig(num_windows=2))
+        values = np.vstack([fm.rows,
+                            np.resize(repr_edge_values(), (2, fm.n_columns))])
+        fm = FeatureMatrix(values, fm.column_labels, ["a", "b", "c", "d"])
+        kernel = tmp_path / "kernel.csv"
+        write_feature_csv(fm, kernel)
+        # A longdouble no wider than float64, as on some platforms.
+        monkeypatch.setattr(_floatrepr, "_significand_bits", lambda: 52)
+        monkeypatch.setattr(_floatrepr, "_certify",
+                            lambda *args: pytest.fail("kernel ran"))
+        fallback = tmp_path / "fallback.csv"
+        write_feature_csv(fm, fallback)
+        assert fallback.read_bytes() == kernel.read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         fm = univariate_matrix([sine_series()], ["a"], GeoStatConfig())

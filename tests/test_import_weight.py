@@ -65,6 +65,17 @@ def test_dtw_leaves_out_classifiers(tmp_path):
     assert loaded_after(code, "geostat.dtw")
 
 
+def test_float_formatter_loads_on_first_feature_write(tmp_path):
+    assert not loaded_after("import geostat", "geostat._floatrepr")
+    code = "\n".join([
+        "import numpy as np",
+        "from geostat.features import FeatureMatrix, write_feature_csv",
+        "fm = FeatureMatrix(np.ones((1, 1)), [('position', 0, 'mean')], ['a'])",
+        f"write_feature_csv(fm, {str(tmp_path / 'f.csv')!r})",
+    ])
+    assert loaded_after(code, "geostat._floatrepr")
+
+
 def test_window_means_leave_out_masked_arrays():
     code = "\n".join([
         "import numpy as np",
